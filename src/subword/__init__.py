@@ -41,9 +41,6 @@ from .morse import (
     LabeledChain,
     MorseEngine,
     MsiDecomposition,
-    critical_chains,
-    label_chain,
-    mobius_morse,
 )
 from .poset import (
     ZERO,
@@ -62,7 +59,6 @@ from .words import (
     Word,
     build_interval,
     embeddings,
-    export_diagram,
     format_embedding,
     format_word,
     is_leq_words,
@@ -72,5 +68,26 @@ from .words import (
     runs,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # chebyshev
+    "ChebyshevCheck", "IntPolynomial", "binom", "chebyshev_T", "chebyshev_T_closed",
+    "mobius_closed_form", "tomie_T", "verify_chebyshev",
+    # errors
+    "DomainError", "InputError", "IntegerOverflowError", "ResourceLimitError",
+    "SubwordError", "UnsupportedPosetError", "VerificationError",
+    # mobius
+    "HomotopyReport", "MobiusReport", "contribution", "defect", "embedding_subposet",
+    "homotopy_type", "is_normal_forest", "mobius_bjorner", "mobius_embedding_subposet",
+    "mobius_forest", "mobius_main", "mobius_oracle", "normal_embeddings_antichain",
+    "rank_word",
+    # morse
+    "ChainContext", "LabeledChain", "MorseEngine", "MsiDecomposition",
+    # poset
+    "ZERO", "AugmentedPoset", "FinitePoset", "NaturalLabeling", "all_linear_extensions",
+    "builtin_poset", "load_poset", "mobius_hat_chain_count", "natural_labeling",
+    # words
+    "Embedding", "IntervalDiagram", "Word", "build_interval", "embeddings",
+    "format_embedding", "format_word", "is_leq_words", "parse_word", "restrict",
+    "rightmost_embedding", "runs",
+]
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI:
-  VerificationError -> 1, InputError/DomainError -> 2, ResourceLimitError -> 3.
+  VerificationError -> 1, InputError/DomainError -> 2, ResourceLimitError -> 3,
+  IntegerOverflowError -> 2.
 """
 
 

@@ -27,12 +27,13 @@ from .words import (
     DEFAULT_MAX_NODES,
     Embedding,
     Word,
-    _down_words,
     check_word,
     format_word,
+    interval_covers,
     is_embedding,
-    is_leq_words,
+    lower_covers,
     restrict,
+    trusted_leq,
 )
 
 Label = tuple[int, int]  # (1-based position in w, letter id or ZERO)
@@ -86,10 +87,6 @@ class MsiDecomposition:
 
     def sign(self) -> int:
         return -1 if self.critical_dimension % 2 else 1
-
-
-def chain_sign(dimension: int) -> int:
-    return -1 if dimension % 2 else 1
 
 
 def _contains(outer: IndexInterval, inner: IndexInterval) -> bool:
@@ -175,26 +172,17 @@ class MorseEngine:
     def cover_moves(self, eta: Embedding) -> tuple[tuple[Label, Embedding], ...]:
         """All covers of the word carried by eta, as canonically labeled moves.
 
-        A move either decreases one nonzero position one cover step down in P,
-        or deletes a minimal letter; a deletion zeroes the first position of
-        its run (the rightmost embedding of the shorter word).  Moves are
-        sorted by label key, so DFS emits chains in PLO order.
+        The moves are those of :func:`lower_covers`; a deletion zeroes the
+        first position of its run (the rightmost embedding of the shorter
+        word).  Moves are sorted by label key, so DFS emits chains in PLO order.
         """
         cached = self._move_cache.get(eta)
         if cached is not None:
             return cached
-        moves: list[tuple[Label, Embedding]] = []
-        support = [j for j, x in enumerate(eta) if x != ZERO]
-        for j in support:
-            for y in self.poset.covered_by(eta[j]):
-                moves.append(((j + 1, y), eta[:j] + (y,) + eta[j + 1 :]))
-        # one deletion per run of a minimal letter, zeroing the run's first slot
-        prev_letter = None
-        for idx, j in enumerate(support):
-            letter = eta[j]
-            if letter != prev_letter and not self.poset.covered_by(letter):
-                moves.append(((j + 1, ZERO), eta[:j] + (ZERO,) + eta[j + 1 :]))
-            prev_letter = letter
+        moves = [
+            ((j + 1, y), eta[:j] + (y,) + eta[j + 1 :])
+            for j, y in lower_covers(self.poset, eta)
+        ]
         moves.sort(key=lambda m: self.label_key(m[0]))
         result = tuple(moves)
         self._move_cache[eta] = result
@@ -243,7 +231,7 @@ class MorseEngine:
         """Every maximal chain of [u, w], PLO-sorted."""
         u = check_word(self.poset, u)
         w = check_word(self.poset, w)
-        if not is_leq_words(self.poset, u, w):
+        if not trusted_leq(self.poset, u, w):
             raise DomainError("all_chains requires u <= w")
         chains: list[LabeledChain] = []
         etas: list[Embedding] = [tuple(w)]
@@ -262,7 +250,7 @@ class MorseEngine:
                 return
             for label, eta in self.cover_moves(etas[-1]):
                 v = restrict(eta)
-                if is_leq_words(self.poset, u, v):
+                if trusted_leq(self.poset, u, v):
                     etas.append(eta)
                     words.append(v)
                     labels.append(label)
@@ -300,7 +288,7 @@ class MorseEngine:
                 if last is not None and self.label_key(label) >= last:
                     continue
                 v = restrict(eta)
-                if u is not None and not is_leq_words(self.poset, u, v):
+                if u is not None and not trusted_leq(self.poset, u, v):
                     continue
                 etas.append(eta)
                 words.append(v)
@@ -365,7 +353,7 @@ class MorseEngine:
                 remaining.pop(0)
                 continue
             for label, nxt in self.cover_moves(eta):
-                if is_leq_words(self.poset, target, restrict(nxt)):
+                if trusted_leq(self.poset, target, restrict(nxt)):
                     labels.append(label)
                     eta = nxt
                     break
@@ -410,7 +398,7 @@ class MorseEngine:
         """
         u = check_word(self.poset, u)
         w = check_word(self.poset, w)
-        if not is_leq_words(self.poset, u, w):
+        if not trusted_leq(self.poset, u, w):
             raise DomainError("critical_chains requires u <= w")
         if u == w:
             return []
@@ -439,7 +427,7 @@ class MorseEngine:
         w = check_word(self.poset, w)
         if u == w:
             return 1
-        if not is_leq_words(self.poset, u, w):
+        if not trusted_leq(self.poset, u, w):
             raise DomainError("mobius_morse requires u <= w")
         if any(restrict(eta) == u for _, eta in self.cover_moves(tuple(w))):
             return -1
@@ -454,7 +442,7 @@ class MorseEngine:
             u: check_i64(sum(d.sign() for d in decs), "mobius_morse_below")
             for u, decs in critical.items()
         }
-        for u in _down_words(self.poset, w, DEFAULT_MAX_NODES):
+        for u in interval_covers(self.poset, (), w, DEFAULT_MAX_NODES):
             table.setdefault(u, 0)
         table[w] = 1
         return table
@@ -533,17 +521,3 @@ def _minimal_intervals(intervals: Sequence[IndexInterval]) -> list[IndexInterval
         if not any(o != iv and _contains(iv, o) for o in uniq)
     ]
 
-
-# -- module-level convenience wrappers ----------------------------------------
-
-
-def label_chain(poset: FinitePoset, words: Sequence[Word]) -> LabeledChain:
-    return MorseEngine(poset).label_chain(words)
-
-
-def mobius_morse(poset: FinitePoset, u: Word, w: Word) -> int:
-    return MorseEngine(poset).mobius_morse(u, w)
-
-
-def critical_chains(poset: FinitePoset, u: Word, w: Word) -> list[MsiDecomposition]:
-    return MorseEngine(poset).critical_chains(u, w)

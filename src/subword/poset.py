@@ -23,6 +23,10 @@ class FinitePoset:
 
     The cover digraph must be acyclic and transitively reduced; both are
     validated at construction rather than silently repaired.
+
+    ``above[a]`` (the elements b with a <= b) and ``covers_below[b]`` (the
+    elements covered by b, in id order) are precomputed for inner loops that
+    index them with ids already checked by :meth:`check_element`.
     """
 
     def __init__(self, names: Sequence[str], covers: Iterable[tuple[int, int]]):
@@ -43,13 +47,14 @@ class FinitePoset:
         for a, b in cov:
             self._upper[a].add(b)
             self._lower[b].add(a)
-        self._up = self._reachability()
+        self.above = self._reachability()
+        self.covers_below = tuple(tuple(sorted(s)) for s in self._lower)
         self._validate_reduced()
         self._name_to_id = {nm: i for i, nm in enumerate(self.names)}
 
     # -- construction helpers -------------------------------------------------
 
-    def _reachability(self) -> list[frozenset[int]]:
+    def _reachability(self) -> tuple[frozenset[int], ...]:
         """up[a] = {b : a <= b}; raises on a cycle."""
         order = self._topo_order()
         up: list[set[int]] = [set() for _ in range(self.n)]
@@ -58,7 +63,7 @@ class FinitePoset:
             for b in self._upper[a]:
                 s |= up[b]
             up[a] = s
-        return [frozenset(s) for s in up]
+        return tuple(frozenset(s) for s in up)
 
     def _topo_order(self) -> list[int]:
         indeg = [len(self._lower[i]) for i in range(self.n)]
@@ -77,7 +82,7 @@ class FinitePoset:
     def _validate_reduced(self) -> None:
         for a, b in self.covers:
             for c in self._upper[a]:
-                if c != b and b in self._up[c]:
+                if c != b and b in self.above[c]:
                     raise InputError(
                         f"cover ({self.names[a]},{self.names[b]}) is implied by a "
                         "longer path; cover set is not transitively reduced"
@@ -93,14 +98,7 @@ class FinitePoset:
     def leq(self, a: int, b: int) -> bool:
         self.check_element(a)
         self.check_element(b)
-        return b in self._up[a]
-
-    def up_set(self, a: int) -> frozenset[int]:
-        return self._up[self.check_element(a)]
-
-    def down_set(self, b: int) -> frozenset[int]:
-        self.check_element(b)
-        return frozenset(a for a in range(self.n) if b in self._up[a])
+        return b in self.above[a]
 
     def covers_of(self, a: int) -> list[int]:
         """Elements covering a, in id order."""
@@ -108,7 +106,7 @@ class FinitePoset:
 
     def covered_by(self, b: int) -> list[int]:
         """Elements covered by b, in id order."""
-        return sorted(self._lower[self.check_element(b)])
+        return list(self.covers_below[self.check_element(b)])
 
     def minimals(self) -> list[int]:
         return [x for x in range(self.n) if not self._lower[x]]

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import DomainError, InputError, ResourceLimitError
 from .poset import ZERO, FinitePoset, NaturalLabeling, natural_labeling
 
@@ -67,14 +65,39 @@ def is_embedding(poset: FinitePoset, eta: Embedding, w: Word) -> bool:
 
 
 def is_leq_words(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> bool:
-    """Greedy leftmost subsequence matching with letterwise dominance."""
-    u = check_word(poset, u)
-    w = check_word(poset, w)
+    """u <= w in generalized subword order, for words from outside."""
+    return trusted_leq(poset, check_word(poset, u), check_word(poset, w))
+
+
+def trusted_leq(poset: FinitePoset, u: Word, w: Word) -> bool:
+    """u <= w for checked words: greedy leftmost subsequence matching with
+    letterwise dominance, read from the poset's precomputed ``above`` sets."""
+    above = poset.above
     j = 0
     for letter in w:
-        if j < len(u) and poset.leq(u[j], letter):
+        if j < len(u) and letter in above[u[j]]:
             j += 1
     return j == len(u)
+
+
+def lower_covers(poset: FinitePoset, eta: Embedding) -> Iterator[tuple[int, int]]:
+    """The words covered by restrict(eta), one per move (j, y) of checked eta.
+
+    Setting slot j to y lowers a letter by one cover of P, or with y ZERO
+    deletes a minimal letter from the first slot of its run (runs skip ZERO
+    slots).  By McNamara-Sagan these are all the covers of subword order.
+    """
+    covers_below = poset.covers_below
+    prev = ZERO
+    for j, x in enumerate(eta):
+        if x == ZERO:
+            continue
+        lower = covers_below[x]
+        for y in lower:
+            yield j, y
+        if not lower and x != prev:
+            yield j, ZERO
+        prev = x
 
 
 def embeddings(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> list[Embedding]:
@@ -189,36 +212,22 @@ class IntervalDiagram:
 
     def mobius_bottom_to(self) -> dict[Word, int]:
         """mu(bottom, v) for every node v, by the classical recursion."""
-        n = len(self.nodes)
-        below: list[list[int]] = [[] for _ in range(n)]
-        order = self._topo_from_bottom()
-        reach = [set() for _ in range(n)]
-        for i in order:
-            s = {i}
-            for j in self._covers_down[i]:
-                s |= reach[j]
-            reach[i] = s
-        mu = [0] * n
-        for i in order:
-            strictly_below = reach[i] - {i}
-            mu[i] = 1 if not strictly_below else -sum(mu[j] for j in strictly_below)
-        return {self.nodes[i]: mu[i] for i in range(n)}
+        return self._mobius_along(self._topo_from_bottom(), self._covers_down)
 
     def mobius_to_top(self) -> dict[Word, int]:
         """mu(v, top) for every node v, by the dual recursion."""
-        n = len(self.nodes)
-        order = self._topo_from_bottom()
-        reach_up = [set() for _ in range(n)]
-        for i in reversed(order):
-            s = {i}
-            for j in self._covers_up[i]:
-                s |= reach_up[j]
-            reach_up[i] = s
-        mu = [0] * n
-        for i in reversed(order):
-            strictly_above = reach_up[i] - {i}
-            mu[i] = 1 if not strictly_above else -sum(mu[j] for j in strictly_above)
-        return {self.nodes[i]: mu[i] for i in range(n)}
+        return self._mobius_along(self._topo_from_bottom()[::-1], self._covers_up)
+
+    def _mobius_along(self, order: list[int], before: list[list[int]]) -> dict[Word, int]:
+        """mu from the end the topological order starts at to every node;
+        before[i] lists the neighbours of node i on that side."""
+        reach: list[set[int]] = [set() for _ in self.nodes]
+        mu = [0] * len(self.nodes)
+        for i in order:
+            reach[i] = {i}.union(*(reach[j] for j in before[i]))
+            strict = reach[i] - {i}
+            mu[i] = -sum(mu[j] for j in strict) if strict else 1
+        return {v: mu[i] for i, v in enumerate(self.nodes)}
 
     def _topo_from_bottom(self) -> list[int]:
         indeg = [len(self._covers_down[i]) for i in range(len(self.nodes))]
@@ -293,23 +302,31 @@ class IntervalDiagram:
         return hash((self.bottom, self.top, self.nodes, self.edges))
 
 
-def _down_words(
-    poset: FinitePoset, w: Word, max_nodes: int
-) -> set[Word]:
-    """All distinct words v <= w, generated by coordinatewise down-choices."""
-    downsets = [sorted(poset.down_set(x)) + [ZERO] for x in w]
-    prefixes: set[Word] = {()}
-    for choices in downsets:
-        nxt: set[Word] = set()
-        for p in prefixes:
-            for z in choices:
-                nxt.add(p if z == ZERO else p + (z,))
-        if len(nxt) > max_nodes:
-            raise ResourceLimitError(
-                f"interval would exceed the {max_nodes}-node cap"
-            )
-        prefixes = nxt
-    return prefixes
+def interval_covers(
+    poset: FinitePoset, u: Word, w: Word, max_nodes: int
+) -> dict[Word, list[Word]]:
+    """Every element of [u, w] with the elements of [u, w] it covers.
+
+    A breadth-first search down from w over :func:`lower_covers`, keeping the
+    words >= u.  u and w must be checked words with u <= w.
+    """
+    below: dict[Word, list[Word]] = {w: []}
+    queue = [w]
+    for v in queue:
+        lower = below[v]
+        for j, y in lower_covers(poset, v):
+            z = v[:j] + v[j + 1 :] if y == ZERO else v[:j] + (y,) + v[j + 1 :]
+            if not trusted_leq(poset, u, z):
+                continue
+            lower.append(z)
+            if z not in below:
+                if len(below) >= max_nodes:
+                    raise ResourceLimitError(
+                        f"interval would exceed the {max_nodes}-node cap"
+                    )
+                below[z] = []
+                queue.append(z)
+    return below
 
 
 def build_interval(
@@ -326,32 +343,22 @@ def build_interval(
         raise ResourceLimitError(
             f"|w| = {len(w)} exceeds the word-length cap {max_word_len}"
         )
-    if not is_leq_words(poset, u, w):
+    if not trusted_leq(poset, u, w):
         raise DomainError("build_interval requires u <= w")
     if labeling is None:
         labeling = natural_labeling(poset)
 
-    nodes = [v for v in _down_words(poset, w, max_nodes) if is_leq_words(poset, u, v)]
-    nodes.sort(key=lambda v: (len(v), tuple(labeling(x) for x in v)))
-    n = len(nodes)
-
-    leq = np.zeros((n, n), dtype=bool)
-    for i, vi in enumerate(nodes):
-        for j, vj in enumerate(nodes):
-            if len(vi) <= len(vj) and is_leq_words(poset, vi, vj):
-                leq[i, j] = True
-    strict = leq & ~np.eye(n, dtype=bool)
-    implied = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    cover_mat = strict & ~implied
-    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(cover_mat))]
-
-    ranks = [0] * n
-    order = sorted(range(n), key=lambda i: int(strict[:, i].sum()))
-    for j in order:
-        ranks[j] = max((ranks[i] + 1 for i in np.nonzero(cover_mat[:, j])[0]), default=0)
+    below = interval_covers(poset, u, w, max_nodes)
+    label = [labeling(x) for x in range(poset.n)]
+    # Length, then labels, is a linear extension: a cover is shorter, or
+    # lowers one letter to a smaller label.
+    nodes = sorted(below, key=lambda v: (len(v), tuple(label[x] for x in v)))
+    index = {v: i for i, v in enumerate(nodes)}
+    edges: list[tuple[int, int]] = []
+    ranks: list[int] = []
+    for i, v in enumerate(nodes):
+        lower = [index[z] for z in below[v]]
+        edges.extend((k, i) for k in lower)
+        ranks.append(max((ranks[k] + 1 for k in lower), default=0))
 
     return IntervalDiagram(poset, u, w, nodes, edges, ranks)
-
-
-def export_diagram(diagram: IntervalDiagram, fmt: str) -> str:
-    return diagram.export(fmt)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +168,12 @@ def test_custom_poset_file(capsys, tmp_path, lam):
         capsys, "mobius", "--poset", str(path), "--u", "11", "--w", "333"
     )
     assert code == 0 and "= 5" in out
+
+
+def test_readme_poset_json_example(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "poset.json"
+    path.write_text(example, encoding="utf-8")
+    code, out, _ = run(capsys, "mobius", "--poset", str(path), "--u", "a", "--w", "c")
+    assert code == 0 and out == "mu(a, c) = -1  (formula)\n"
