@@ -2,8 +2,13 @@
 
 Subcommands: mobius, interval, critical-chains, chebyshev, homotopy, verify.
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap
-exceeded.  Node and chain caps honor the SUBWORD_MAX_NODES and
-SUBWORD_MAX_CHAINS environment variables unless overridden by flags.
+exceeded.
+
+Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) and ``--max-word-len`` bound
+the intervals that interval, homotopy and the oracle route of mobius build;
+the formula and Morse routes of mobius and critical-chains apply neither yet.
+``--max-chains`` (else SUBWORD_MAX_CHAINS) is parsed and checked for sign by
+mobius, interval and homotopy, but no subcommand enforces it yet.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ def _caps(args: argparse.Namespace) -> tuple[int, int]:
         max_chains = _env_int("SUBWORD_MAX_CHAINS", DEFAULT_MAX_CHAINS)
     if max_nodes <= 0 or max_chains <= 0:
         raise InputError("caps must be positive")
+    if args.max_word_len < 0:
+        raise InputError("the word-length cap must not be negative")
     return max_nodes, max_chains
 
 
@@ -166,7 +173,8 @@ def cmd_chebyshev(args: argparse.Namespace) -> int:
 
 def cmd_homotopy(args: argparse.Namespace) -> int:
     poset, u, w = _load(args)
-    report = homotopy_type(poset, u, w)
+    max_nodes, _ = _caps(args)
+    report = homotopy_type(poset, u, w, max_nodes, args.max_word_len)
     print(report.describe())
     return 0
 

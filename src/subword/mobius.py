@@ -9,13 +9,13 @@ wedge-of-spheres homotopy report live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import itertools
 import json
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, UnsupportedPosetError, check_i64
-from .poset import ZERO, AugmentedPoset, FinitePoset
+from .poset import ZERO, AugmentedPoset, FinitePoset, mobius_hat_chain_count
 from .words import (
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_WORD_LEN,
@@ -28,9 +28,9 @@ from .words import (
     format_embedding,
     format_word,
     is_embedding,
-    is_leq_words,
     restrict,
     runs,
+    trusted_leq,
 )
 
 
@@ -81,9 +81,15 @@ def contribution(p0: AugmentedPoset, eta: Embedding, w: Word) -> int:
     w = check_word(poset, w)
     if not is_embedding(poset, eta, w):
         raise DomainError("eta is not an embedding in w")
+    return _contribution(poset, eta, w)
+
+
+def _contribution(poset: FinitePoset, eta: Embedding, w: Word) -> int:
+    """:func:`contribution` for an embedding eta of checked w."""
+    mu0 = poset.mu0
     product = 1
     for j, x in enumerate(eta):
-        factor = p0.mobius0(x, w[j])
+        factor = mu0(x, w[j])
         if x == ZERO and j > 0 and w[j - 1] == w[j]:
             factor += 1
         product = check_i64(product * factor, "embedding contribution")
@@ -94,10 +100,9 @@ def mobius_main(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> Mobiu
     """Sum of per-embedding contributions; the main formula route."""
     u = check_word(poset, u)
     w = check_word(poset, w)
-    if not is_leq_words(poset, u, w):
+    if not trusted_leq(poset, u, w):
         return MobiusReport(poset, u, w, 0, "formula", (), comparable=False)
-    p0 = AugmentedPoset(poset)
-    per = tuple((eta, contribution(p0, eta, w)) for eta in embeddings(poset, u, w))
+    per = tuple((eta, _contribution(poset, eta, w)) for eta in embeddings(poset, u, w))
     value = check_i64(sum(c for _, c in per), "mobius_main")
     return MobiusReport(poset, u, w, value, "formula", per)
 
@@ -143,18 +148,11 @@ def mobius_bjorner(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> in
         raise DomainError("mobius_bjorner requires an antichain")
     u = check_word(poset, u)
     w = check_word(poset, w)
-    if not is_leq_words(poset, u, w):
+    if not trusted_leq(poset, u, w):
         return 0
     count, _ = normal_embeddings_antichain(poset, u, w)
     sign = -1 if (len(w) - len(u)) % 2 else 1
     return sign * count
-
-
-def _forest_parent(p0: AugmentedPoset, x: int) -> int:
-    lower = p0.covered_by(x)
-    if len(lower) != 1:
-        raise DomainError("poset is not a rooted forest")
-    return lower[0]
 
 
 def _require_forest(poset: FinitePoset) -> None:
@@ -171,14 +169,19 @@ def is_normal_forest(poset: FinitePoset, eta: Embedding, w: Sequence[int]) -> bo
     """
     _require_forest(poset)
     w = check_word(poset, w)
-    p0 = AugmentedPoset(poset)
     if not is_embedding(poset, eta, w):
         raise DomainError("eta is not an embedding in w")
+    return _normal_forest(poset, eta, w)
+
+
+def _normal_forest(poset: FinitePoset, eta: Embedding, w: Word) -> bool:
+    """:func:`is_normal_forest` for an embedding eta of checked w."""
+    below = poset.covers_below
     for j, x in enumerate(eta):
-        if x != ZERO and x != w[j] and x != _forest_parent(p0, w[j]):
+        if x != ZERO and x != w[j] and x not in below[w[j]]:
             return False
     for letter, start, end in runs(w):
-        if not poset.covered_by(letter):
+        if not below[letter]:
             if any(eta[j - 1] == ZERO for j in range(start + 1, end + 1)):
                 return False
         elif eta[start - 1] == ZERO:
@@ -193,12 +196,14 @@ def defect(poset: FinitePoset, eta: Embedding, w: Sequence[int]) -> int:
     deletion there counts toward the defect.
     """
     _require_forest(poset)
-    w = check_word(poset, w)
-    p0 = AugmentedPoset(poset)
+    return _defect(poset, eta, check_word(poset, w))
+
+
+def _defect(poset: FinitePoset, eta: Embedding, w: Word) -> int:
+    """:func:`defect` for checked w."""
+    below = poset.covers_below
     return sum(
-        1
-        for j, x in enumerate(eta)
-        if x != w[j] and x == _forest_parent(p0, w[j])
+        1 for j, x in enumerate(eta) if x != w[j] and x in (below[w[j]] or (ZERO,))
     )
 
 
@@ -208,9 +213,9 @@ def mobius_forest(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> int
     u = check_word(poset, u)
     w = check_word(poset, w)
     total = sum(
-        -1 if defect(poset, eta, w) % 2 else 1
+        -1 if _defect(poset, eta, w) % 2 else 1
         for eta in embeddings(poset, u, w)
-        if is_normal_forest(poset, eta, w)
+        if _normal_forest(poset, eta, w)
     )
     return check_i64(total, "mobius_forest")
 
@@ -227,76 +232,60 @@ def embedding_subposet(
     w = check_word(poset, w)
     if not is_embedding(poset, eta, w):
         raise DomainError("eta is not an embedding in w")
-    p0 = AugmentedPoset(poset)
-    out: set[Word] = set()
-
-    def extend(j: int, acc: tuple[int, ...]) -> None:
-        if j == len(w):
-            out.add(restrict(acc))
-            return
-        for z in p0.interval(eta[j], w[j]):
-            extend(j + 1, acc + (z,))
-
-    extend(0, ())
+    slots = [poset.interval0(x, w[j]) for j, x in enumerate(eta)]
+    out = {restrict(acc) for acc in itertools.product(*slots)}
     return sorted(out, key=lambda v: (len(v), v))
 
 
 def mobius_embedding_subposet(
     poset: FinitePoset, eta: Embedding, w: Sequence[int]
 ) -> int:
-    """Mobius value from restrict(eta) to w inside the subposet [eta, w]."""
+    """Mobius value from restrict(eta) to w inside the subposet [eta, w].
+
+    restrict(eta) and w are its bottom and top, so this is the chain-count
+    Mobius value of the open part between them.
+    """
     nodes = embedding_subposet(poset, eta, w)
-    value = mu_pair(poset, nodes, restrict(eta), tuple(w))
-    return check_i64(value, "mobius_embedding_subposet")
-
-
-def mu_pair(
-    poset: FinitePoset, nodes: Sequence[Word], a: Word, b: Word
-) -> int:
-    """Classical Mobius recursion over an explicit node list under subword order."""
-    memo: dict[Word, int] = {}
-
-    def mu(v: Word) -> int:
-        if v == a:
-            return 1
-        if v not in memo:
-            memo[v] = -sum(
-                mu(z)
-                for z in nodes
-                if z != v
-                and is_leq_words(poset, a, z)
-                and is_leq_words(poset, z, v)
-            )
-        return memo[v]
-
-    if not is_leq_words(poset, a, b):
-        raise DomainError("mu_pair requires a <= b")
-    return mu(b)
+    bottom, top = restrict(eta), tuple(w)
+    if bottom == top:
+        return 1
+    return mobius_hat_chain_count(
+        [v for v in nodes if v not in (bottom, top)],
+        lambda a, b: trusted_leq(poset, a, b),
+    )
 
 
 def rank_word(
-    poset: FinitePoset, w: Sequence[int], max_nodes: int = DEFAULT_MAX_NODES
+    poset: FinitePoset,
+    w: Sequence[int],
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> int:
     """Longest-chain rank of w inside the interval from the empty word to w."""
     w = check_word(poset, w)
-    diagram = build_interval(poset, (), w, max_nodes=max_nodes)
+    diagram = build_interval(poset, (), w, max_nodes=max_nodes, max_word_len=max_word_len)
     return diagram.ranks[diagram.index[w]]
 
 
 def homotopy_type(
-    poset: FinitePoset, u: Sequence[int], w: Sequence[int]
+    poset: FinitePoset,
+    u: Sequence[int],
+    w: Sequence[int],
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> HomotopyReport:
-    """Wedge-of-spheres report for ground posets of rank at most 1."""
+    """Wedge-of-spheres report for ground posets of rank at most 1; the caps
+    bound the two rank intervals it builds."""
     if poset.rank_poset() > 1:
         raise UnsupportedPosetError(
             "homotopy_type applies only to ground posets of rank <= 1"
         )
     u = check_word(poset, u)
     w = check_word(poset, w)
-    if u == w or not is_leq_words(poset, u, w):
+    if u == w or not trusted_leq(poset, u, w):
         raise DomainError("homotopy_type requires u < w")
-    rk_w = rank_word(poset, w)
-    rk_u = rank_word(poset, u)
+    rk_w = rank_word(poset, w, max_nodes, max_word_len)
+    rk_u = rank_word(poset, u, max_nodes, max_word_len)
     if rk_w - rk_u < 2:
         raise DomainError(
             "degenerate interval: rank gap below 2 has no sphere dimension"

@@ -1,12 +1,21 @@
 """Finite posets, the bottom-adjoined poset, natural labelings and Mobius values.
 
 Elements of a :class:`FinitePoset` are dense integer ids ``0..n-1``; display
-names are metadata only.  The adjoined bottom of :class:`AugmentedPoset` is the
-sentinel id :data:`ZERO` (= -1), so word letters and bottom never collide.
+names are metadata only.  The adjoined bottom of P0 (P with a bottom adjoined)
+is the sentinel id :data:`ZERO` (= -1), so word letters and bottom never
+collide.
+
+A :class:`FinitePoset` owns the tables every route reads: ``above`` (up-sets),
+``covers_below`` (lower covers) and a memo of the Mobius function of P0,
+filled on demand by :meth:`FinitePoset.mu0` and shared by every caller.  These
+and :meth:`FinitePoset.interval0` take ids unchecked, so inner loops read them
+only after a public entry has validated its input; :class:`AugmentedPoset` is
+the validating view of P0 over the same tables.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from functools import lru_cache
@@ -51,6 +60,7 @@ class FinitePoset:
         self.covers_below = tuple(tuple(sorted(s)) for s in self._lower)
         self._validate_reduced()
         self._name_to_id = {nm: i for i, nm in enumerate(self.names)}
+        self._mu0: dict[tuple[int, int], int] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -66,15 +76,17 @@ class FinitePoset:
         return tuple(frozenset(s) for s in up)
 
     def _topo_order(self) -> list[int]:
+        """Linear extension taking the smallest available id first."""
         indeg = [len(self._lower[i]) for i in range(self.n)]
-        order = [i for i in range(self.n) if indeg[i] == 0]
-        i = 0
-        while i < len(order):
-            for b in sorted(self._upper[order[i]]):
+        heap = [i for i in range(self.n) if indeg[i] == 0]
+        order: list[int] = []
+        while heap:
+            a = heapq.heappop(heap)
+            order.append(a)
+            for b in self._upper[a]:
                 indeg[b] -= 1
                 if indeg[b] == 0:
-                    order.append(b)
-            i += 1
+                    heapq.heappush(heap, b)
         if len(order) != self.n:
             raise InputError("cover relation contains a cycle")
         return order
@@ -99,6 +111,27 @@ class FinitePoset:
         self.check_element(a)
         self.check_element(b)
         return b in self.above[a]
+
+    def interval0(self, a: int, b: int) -> list[int]:
+        """[a, b] in P0 for unchecked ids, either may be ZERO; ZERO first,
+        then ids in order.  Empty unless a <= b."""
+        above = self.above
+        inside = [
+            z for z in range(self.n)
+            if b != ZERO and b in above[z] and (a == ZERO or z in above[a])
+        ]
+        return [ZERO] + inside if a == ZERO else inside
+
+    def mu0(self, a: int, b: int) -> int:
+        """Mobius function of P0 for unchecked ids a <= b, by the classical
+        recursion mu(a,a)=1, mu(a,b) = -sum_{a<=z<b} mu(a,z), memoized."""
+        if a == b:
+            return 1
+        key = (a, b)
+        if key not in self._mu0:
+            total = sum(self.mu0(a, z) for z in self.interval0(a, b) if z != b)
+            self._mu0[key] = check_i64(-total, f"mobius0({a},{b})")
+        return self._mu0[key]
 
     def covers_of(self, a: int) -> list[int]:
         """Elements covering a, in id order."""
@@ -190,7 +223,6 @@ class AugmentedPoset:
     def __init__(self, base: FinitePoset):
         self.base = base
         self.zero = ZERO
-        self._memo: dict[tuple[int, int], int] = {}
 
     def check_element(self, x: int) -> int:
         if x == ZERO:
@@ -200,11 +232,7 @@ class AugmentedPoset:
     def leq(self, a: int, b: int) -> bool:
         self.check_element(a)
         self.check_element(b)
-        if a == ZERO:
-            return True
-        if b == ZERO:
-            return False
-        return self.base.leq(a, b)
+        return a == ZERO or (b != ZERO and b in self.base.above[a])
 
     def elements(self) -> list[int]:
         return [ZERO] + list(range(self.base.n))
@@ -225,25 +253,13 @@ class AugmentedPoset:
         """Elements of [a, b], unordered domain check included."""
         if not self.leq(a, b):
             raise DomainError(f"{a} is not <= {b} in the augmented poset")
-        return [z for z in self.elements() if self.leq(a, z) and self.leq(z, b)]
+        return self.base.interval0(a, b)
 
     def mobius0(self, a: int, b: int) -> int:
-        """Classical Mobius recursion mu(a,a)=1, mu(a,b) = -sum_{a<=z<b} mu(a,z)."""
+        """mu(a, b) in P0, read from the base poset's shared memo."""
         if not self.leq(a, b):
             raise DomainError(f"mobius0 requires a <= b; got {a}, {b}")
-        return self._mobius0(a, b)
-
-    def _mobius0(self, a: int, b: int) -> int:
-        if a == b:
-            return 1
-        key = (a, b)
-        if key not in self._memo:
-            total = 0
-            for z in self.interval(a, b):
-                if z != b:
-                    total += self._mobius0(a, z)
-            self._memo[key] = check_i64(-total, f"mobius0({a},{b})")
-        return self._memo[key]
+        return self.base.mu0(a, b)
 
     def maximal_chains(self, a: int, b: int) -> list[tuple[int, ...]]:
         """All maximal chains of [a,b], each listed top-to-bottom (b first)."""
@@ -269,9 +285,7 @@ class NaturalLabeling:
     """An order-preserving injection of P into 1..n, with label(ZERO)=0."""
 
     def __init__(self, poset: FinitePoset, order: Sequence[int] | None = None):
-        if order is None:
-            order = _min_id_linear_extension(poset)
-        order = list(order)
+        order = list(poset._topo_order() if order is None else order)
         if sorted(order) != list(range(poset.n)):
             raise InputError("labeling order must be a permutation of element ids")
         labels = [0] * poset.n
@@ -287,24 +301,6 @@ class NaturalLabeling:
         if x == ZERO:
             return 0
         return self._labels[self.poset.check_element(x)]
-
-
-def _min_id_linear_extension(poset: FinitePoset) -> list[int]:
-    """Deterministic linear extension: repeatedly take the smallest-id minimal."""
-    remaining_lower = {x: set(poset.covered_by(x)) for x in range(poset.n)}
-    taken: list[int] = []
-    available = {x for x, low in remaining_lower.items() if not low}
-    while available:
-        x = min(available)
-        available.remove(x)
-        taken.append(x)
-        for b in poset.covers_of(x):
-            remaining_lower[b].discard(x)
-            if not remaining_lower[b]:
-                available.add(b)
-    if len(taken) != poset.n:
-        raise InputError("cover relation contains a cycle")
-    return taken
 
 
 def natural_labeling(poset: FinitePoset) -> NaturalLabeling:

@@ -104,6 +104,7 @@ def embeddings(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> list[E
     """All embeddings of u in w, ordered lexicographically by nonzero support."""
     u = check_word(poset, u)
     w = check_word(poset, w)
+    above = poset.above
     out: list[Embedding] = []
     eta = [ZERO] * len(w)
 
@@ -113,7 +114,7 @@ def embeddings(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> list[E
             return
         # need len(u)-j more slots in positions start..len(w)-1
         for i in range(start, len(w) - (len(u) - j) + 1):
-            if poset.leq(u[j], w[i]):
+            if w[i] in above[u[j]]:
                 eta[i] = u[j]
                 place(j + 1, i + 1)
                 eta[i] = ZERO
@@ -126,10 +127,11 @@ def rightmost_embedding(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) 
     """Greedy right-to-left matching; every letter sits as far right as possible."""
     u = check_word(poset, u)
     w = check_word(poset, w)
+    above = poset.above
     eta = [ZERO] * len(w)
     j = len(u) - 1
     for i in range(len(w) - 1, -1, -1):
-        if j >= 0 and poset.leq(u[j], w[i]):
+        if j >= 0 and w[i] in above[u[j]]:
             eta[i] = u[j]
             j -= 1
     if j >= 0:
@@ -259,14 +261,16 @@ class IntervalDiagram:
         try:
             data = json.loads(text)
             nodes = [parse_word(poset, s) for s in data["nodes"]]
-            return cls(
-                poset,
-                parse_word(poset, data["bottom"]),
-                parse_word(poset, data["top"]),
-                nodes,
-                [tuple(e) for e in data["edges"]],
-                data["ranks"],
-            )
+            ends = [parse_word(poset, data[k]) for k in ("bottom", "top")]
+            edges = [tuple(e) for e in data["edges"]]
+            if len(data["ranks"]) != len(nodes):
+                raise ValueError(f"{len(data['ranks'])} ranks for {len(nodes)} nodes")
+            if any(v not in nodes for v in ends):
+                raise ValueError("bottom and top must be nodes")
+            for e in edges:
+                if len(e) != 2 or not all(0 <= i < len(nodes) for i in e):
+                    raise ValueError(f"edge {list(e)} is not a pair of node indices")
+            return cls(poset, *ends, nodes, edges, data["ranks"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad interval JSON: {exc}") from exc
 

@@ -145,6 +145,25 @@ def test_exit_code_resource_cap(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_homotopy_honours_caps(capsys):
+    argv = ["homotopy", "--poset", "lambda", "--u", "1", "--w", "33333"]
+    code, out, err = run(capsys, *argv, "--max-nodes", "5")
+    assert code == 3 and "5-node cap" in err and out == ""
+    code, _, err = run(capsys, *argv, "--max-word-len", "4")
+    assert code == 3 and "word-length cap 4" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == "wedge of 48 spheres, dim 7"
+
+
+@pytest.mark.parametrize("command", ["interval", "mobius", "homotopy"])
+def test_negative_word_length_cap_rejected(capsys, command):
+    code, out, err = run(
+        capsys, command, "--poset", "lambda", "--u", "1", "--w", "333",
+        "--max-word-len", "-1",
+    )
+    assert code == 2 and out == "" and "word-length cap" in err
+
+
 def test_env_var_cap(capsys, monkeypatch):
     monkeypatch.setenv("SUBWORD_MAX_NODES", "5")
     code, _, _ = run(capsys, "interval", "--poset", "lambda", "--u", "", "--w", "33333")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from subword import (
@@ -15,6 +17,7 @@ from subword import (
     format_embedding,
     format_word,
     homotopy_type,
+    is_leq_words,
     is_normal_forest,
     mobius_bjorner,
     mobius_embedding_subposet,
@@ -177,6 +180,56 @@ def test_embedding_subposet_product_lemma():
                     continue
                 got = mobius_embedding_subposet(poset, (ZERO, a), (a, b))
                 assert got == p0.mobius0(ZERO, a) * p0.mobius0(a, b)
+
+
+def mu_pair(poset, nodes, a, b):
+    """Classical Mobius recursion from a to b over an explicit node list under
+    subword order; the reference for mobius_embedding_subposet."""
+    memo = {}
+
+    def mu(v):
+        if v == a:
+            return 1
+        if v not in memo:
+            memo[v] = -sum(
+                mu(z)
+                for z in nodes
+                if z != v and is_leq_words(poset, a, z) and is_leq_words(poset, z, v)
+            )
+        return memo[v]
+
+    assert is_leq_words(poset, a, b)
+    return mu(b)
+
+
+def small_intervals(posets):
+    """(poset, u, w) for every u <= w with |w| <= 3."""
+    for poset in posets:
+        for length in range(4):
+            for w in itertools.product(range(poset.n), repeat=length):
+                for u in build_interval(poset, (), w).nodes:
+                    yield poset, u, w
+
+
+def test_embedding_subposet_mobius_matches_recursion():
+    posets = [builtin_poset("lambda"), builtin_poset("chain:3")]
+    posets += [random_poset(seed) for seed in range(10)]
+    for poset, u, w in small_intervals(posets):
+        for eta in embeddings(poset, u, w):
+            nodes = embedding_subposet(poset, eta, w)
+            expect = mu_pair(poset, nodes, u, w)
+            assert mobius_embedding_subposet(poset, eta, w) == expect
+
+
+def test_per_embedding_matches_contribution():
+    posets = [builtin_poset(name) for name in ("lambda", "fig3", "chain:3")]
+    posets += [random_poset(seed) for seed in range(10)]
+    for poset, u, w in small_intervals(posets):
+        p0 = AugmentedPoset(poset)
+        report = mobius_main(poset, u, w)
+        assert [eta for eta, _ in report.per_embedding] == embeddings(poset, u, w)
+        for eta, c in report.per_embedding:
+            assert c == contribution(p0, eta, w)
 
 
 def test_rank_word(lam):

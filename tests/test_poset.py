@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,83 @@ from subword import (
     natural_labeling,
 )
 from subword.poset import random_poset
+
+BUILTINS = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
+
+
+def ground_posets():
+    """The five built-ins and random posets of seeds 0-49."""
+    return [builtin_poset(name) for name in BUILTINS] + [random_poset(s) for s in range(50)]
+
+
+def brute_mu0(poset):
+    """mu of P0 at every pair a <= b, by the unmemoized recursion over all of
+    P0, with the order taken from a transitive closure of the covers."""
+    n = poset.n
+    leq = {(a, a) for a in range(n)} | set(poset.covers)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if (i, k) in leq and (k, j) in leq:
+                    leq.add((i, j))
+    elems = [ZERO] + list(range(n))
+
+    def le(a, b):
+        return a == ZERO or (a, b) in leq
+
+    def mu(a, b):
+        if a == b:
+            return 1
+        return -sum(mu(a, z) for z in elems if z != b and le(a, z) and le(z, b))
+
+    return {(a, b): mu(a, b) for a in elems for b in elems if le(a, b)}
+
+
+def test_mu0_memo_matches_brute_force():
+    for poset in ground_posets():
+        p0 = AugmentedPoset(poset)
+        for (a, b), expect in brute_mu0(poset).items():
+            assert poset.mu0(a, b) == expect
+            assert p0.mobius0(a, b) == expect
+            assert p0.interval(a, b) == [
+                z for z in p0.elements() if p0.leq(a, z) and p0.leq(z, b)
+            ]
+
+
+def min_id_linear_extension(poset):
+    """Repeatedly take the smallest-id element whose lower covers are all taken."""
+    remaining_lower = {x: set(poset.covered_by(x)) for x in range(poset.n)}
+    taken = []
+    available = {x for x, low in remaining_lower.items() if not low}
+    while available:
+        x = min(available)
+        available.remove(x)
+        taken.append(x)
+        for b in poset.covers_of(x):
+            remaining_lower[b].discard(x)
+            if not remaining_lower[b]:
+                available.add(b)
+    assert len(taken) == poset.n
+    return taken
+
+
+def shuffled(poset, seed):
+    """The same poset with its ids permuted, so id order is no longer a
+    linear extension."""
+    perm = list(range(poset.n))
+    random.Random(seed).shuffle(perm)
+    names = [None] * poset.n
+    for x in range(poset.n):
+        names[perm[x]] = poset.names[x]
+    return FinitePoset(names, [(perm[a], perm[b]) for a, b in poset.covers])
+
+
+def test_default_labeling_takes_smallest_id_first():
+    base = ground_posets()
+    for poset in base + [shuffled(p, seed) for p in base for seed in range(3)]:
+        expect = NaturalLabeling(poset, min_id_linear_extension(poset))
+        got = natural_labeling(poset)
+        assert [got(x) for x in range(poset.n)] == [expect(x) for x in range(poset.n)]
 
 
 def test_leq_lambda(lam):

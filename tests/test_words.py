@@ -182,6 +182,24 @@ def test_export_json_round_trip(lam):
         IntervalDiagram.from_json(lam, "{}")
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"edges": [[0, 2]]},  # edge index past the node list
+        {"edges": [[-1, 1]]},  # negative edge index
+        {"edges": [[0, 1, 1]]},  # edge that is not a pair
+        {"ranks": [0]},  # fewer ranks than nodes
+        {"ranks": [0, 1, 2]},  # more ranks than nodes
+        {"top": "33"},  # top that is not a node
+    ],
+)
+def test_from_json_rejects_inconsistent_diagram(lam, change):
+    data = {"bottom": "1", "top": "3", "nodes": ["1", "3"], "edges": [[0, 1]], "ranks": [0, 1]}
+    assert IntervalDiagram.from_json(lam, json.dumps(data)).edges == ((0, 1),)
+    with pytest.raises(InputError, match="bad interval JSON"):
+        IntervalDiagram.from_json(lam, json.dumps(dict(data, **change)))
+
+
 def test_export_dot(lam):
     single = build_interval(lam, parse_word(lam, "3"), parse_word(lam, "3"))
     dot = single.export_dot()
