@@ -7,8 +7,8 @@ exceeded.
 Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) and ``--max-word-len`` bound
 the intervals that interval, homotopy and the oracle route of mobius build;
 the formula and Morse routes of mobius and critical-chains apply neither yet.
-``--max-chains`` (else SUBWORD_MAX_CHAINS) is parsed and checked for sign by
-mobius, interval and homotopy, but no subcommand enforces it yet.
+``--max-chains`` (else SUBWORD_MAX_CHAINS) is enforced by none yet, but every
+subcommand that takes the caps rejects a bad value of any of them with exit 2.
 """
 
 from __future__ import annotations
@@ -138,6 +138,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
 
 def cmd_critical_chains(args: argparse.Namespace) -> int:
     poset, u, w = _load(args)
+    _caps(args)
     decs = MorseEngine(poset).critical_chains(u, w)
     for dec in decs:
         js = " ".join(f"[{a},{b}]" for a, b in dec.j_intervals) or "-"

@@ -5,14 +5,19 @@ Three independent routes compute mu(u, w): the per-embedding product formula
 diagram (:func:`mobius_oracle`), and the discrete Morse sum (module
 ``morse``).  The antichain and rooted-forest specializations plus the
 wedge-of-spheres homotopy report live here as well.
+
+The formula's factors depend only on position, so :func:`mobius_main` is an
+O(|u|*|w|) DP over the positions of w.  Its per-embedding terms (``--verbose``)
+enumerate the embeddings, at a cost that grows with their number, when read.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, UnsupportedPosetError, check_i64
 from .poset import ZERO, AugmentedPoset, FinitePoset, mobius_hat_chain_count
@@ -41,7 +46,7 @@ class MobiusReport:
     w: Word
     value: int
     method: str  # formula | oracle | morse
-    per_embedding: tuple[tuple[Embedding, int], ...] = ()
+    per_embedding: Sequence[tuple[Embedding, int]] = field(default=(), compare=False)
     comparable: bool = True
 
     def to_json(self) -> str:
@@ -96,15 +101,41 @@ def _contribution(poset: FinitePoset, eta: Embedding, w: Word) -> int:
     return product
 
 
+class _EmbeddingTerms(Sequence):
+    """(embedding, contribution) pairs of checked u <= w, built on first read."""
+
+    def __init__(self, poset: FinitePoset, u: Word, w: Word):
+        self._args = (poset, u, w)
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[Embedding, int], ...]:
+        poset, u, w = self._args
+        return tuple((eta, _contribution(poset, eta, w)) for eta in embeddings(poset, u, w))
+
+    def __getitem__(self, i):
+        return self._terms[i]
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+
 def mobius_main(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> MobiusReport:
-    """Sum of per-embedding contributions; the main formula route."""
+    """The formula route: row[k] sums the per-embedding products over prefixes
+    of w placing u[:k]; exact ints inside, only the value is i64-checked."""
     u = check_word(poset, u)
     w = check_word(poset, w)
     if not trusted_leq(poset, u, w):
         return MobiusReport(poset, u, w, 0, "formula", (), comparable=False)
-    per = tuple((eta, _contribution(poset, eta, w)) for eta in embeddings(poset, u, w))
-    value = check_i64(sum(c for _, c in per), "mobius_main")
-    return MobiusReport(poset, u, w, value, "formula", per)
+    mu0, above = poset.mu0, poset.above
+    row = [1] + [0] * len(u)
+    for j, b in enumerate(w):
+        skip = mu0(ZERO, b) + (j > 0 and w[j - 1] == b)
+        for k in range(min(j + 1, len(u)), 0, -1):
+            x = u[k - 1]
+            row[k] = row[k] * skip + (row[k - 1] * mu0(x, b) if b in above[x] else 0)
+        row[0] *= skip
+    value = check_i64(row[len(u)], "mobius_main")
+    return MobiusReport(poset, u, w, value, "formula", _EmbeddingTerms(poset, u, w))
 
 
 def mobius_oracle(

@@ -149,6 +149,8 @@ class MorseEngine:
         self.poset = poset
         self.p0 = AugmentedPoset(poset)
         self.labeling = labeling if labeling is not None else natural_labeling(poset)
+        # label of each id, with label(ZERO) = 0 last so that index ZERO = -1 reads it
+        self._label = [self.labeling(x) for x in range(poset.n)] + [0]
         self._move_cache: dict[Embedding, tuple[tuple[Label, Embedding], ...]] = {}
         self._lexmin_cache: dict[tuple[Embedding, tuple[Word, ...]], tuple[Label, ...]] = {}
 
@@ -156,7 +158,7 @@ class MorseEngine:
 
     def label_key(self, label: Label) -> tuple[int, int]:
         j, x = label
-        return (j, self.labeling(x))
+        return (j, self._label[x])
 
     def plo_key(self, chain: LabeledChain) -> tuple[tuple[int, int], ...]:
         return tuple(self.label_key(l) for l in chain.labels)
@@ -491,7 +493,7 @@ class MorseEngine:
         """Brute-force SIs of a maximal chain of a P0 interval under its PLO."""
         top, bottom = chain0[0], chain0[-1]
         all0 = self.p0.maximal_chains(bottom, top)
-        keyed = sorted(all0, key=lambda c: tuple(self.labeling(x) for x in c[1:]))
+        keyed = sorted(all0, key=lambda c: tuple(self._label[x] for x in c[1:]))
         idx = keyed.index(chain0)
         earlier = [frozenset(c) for c in keyed[:idx]]
         out: list[IndexInterval] = []

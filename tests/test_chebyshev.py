@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from subword import (
     DomainError,
+    IntegerOverflowError,
     IntPolynomial,
     binom,
     chebyshev_T,
@@ -114,3 +115,18 @@ def test_verify_chebyshev_oracle_side():
     for j in range(4):
         for i in range(j + 1):
             assert verify_chebyshev(i, j, use_oracle=True).equal
+
+
+def test_verify_chebyshev_to_j30():
+    # the formula route is a position DP, so the grid can reach the i64 bound
+    checked = 0
+    for s in (1, 2, 3):
+        for j in range(31):
+            for i in range(j + 1):
+                try:
+                    check = verify_chebyshev(i, j, s)
+                except IntegerOverflowError:
+                    continue
+                assert check.equal, (i, j, s, check)
+                checked += 1
+    assert checked > 1000

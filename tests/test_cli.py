@@ -196,3 +196,24 @@ def test_readme_poset_json_example(capsys, tmp_path):
     path.write_text(example, encoding="utf-8")
     code, out, _ = run(capsys, "mobius", "--poset", str(path), "--u", "a", "--w", "c")
     assert code == 0 and out == "mu(a, c) = -1  (formula)\n"
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [(["--max-nodes", "-5"], None), (["--max-word-len", "-1"], None), ([], "abc")],
+)
+def test_critical_chains_rejects_bad_caps(capsys, monkeypatch, flags, env):
+    if env is not None:
+        monkeypatch.setenv("SUBWORD_MAX_NODES", env)
+    code, out, err = run(
+        capsys, "critical-chains", "--poset", "lambda", "--u", "1", "--w", "333", *flags
+    )
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_formula_overflow_exits_2(capsys):
+    # C(60, 30) embeddings: only the position DP reaches the i64 check in time
+    code, out, err = run(
+        capsys, "mobius", "--poset", "lambda", "--u", "1" * 30, "--w", "3" * 60
+    )
+    assert code == 2 and out == "" and "overflowed 64-bit range" in err

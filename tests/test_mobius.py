@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -27,7 +28,9 @@ from subword import (
     normal_embeddings_antichain,
     parse_word,
     rank_word,
+    tomie_T,
 )
+from subword import mobius as mobius_module
 from subword.poset import random_poset
 
 
@@ -277,3 +280,51 @@ def test_formula_oracle_random_sweep():
                 oracle = build_interval(poset, (), w).mobius_to_top()
                 for u, mu in oracle.items():
                     assert mobius_main(poset, u, w).value == mu
+
+
+def _enumerated(poset, u, w):
+    """The formula as a sum over enumerated embeddings: the reference for the DP."""
+    p0 = AugmentedPoset(poset)
+    return sum(contribution(p0, eta, w) for eta in embeddings(poset, u, w))
+
+
+def _words(n, max_len):
+    for length in range(max_len + 1):
+        yield from itertools.product(range(n), repeat=length)
+
+
+def _dp_posets():
+    names = ("lambda", "lambda:3", "chain:3", "antichain:3", "fig3")
+    return [builtin_poset(name) for name in names] + [random_poset(s) for s in range(50)]
+
+
+def test_formula_dp_matches_enumeration_small():
+    # every u, w with |u| <= |w| <= 3; fig3 (9 elements) stops at |w| <= 2
+    for poset in _dp_posets():
+        for w in _words(poset.n, 3 if poset.n <= 5 else 2):
+            for u in _words(poset.n, len(w)):
+                assert mobius_main(poset, u, w).value == _enumerated(poset, u, w), (u, w)
+
+
+def test_formula_dp_matches_enumeration_random():
+    rng = random.Random(20110726)
+    for poset in _dp_posets():
+        for _ in range(12):
+            w = tuple(rng.randrange(poset.n) for _ in range(rng.randint(4, 8)))
+            # a u below w half the time: lower kept letters within P0
+            lowered = (rng.choice(poset.interval0(ZERO, b)) for b in w)
+            u = tuple(x for x in lowered if x != ZERO)
+            if rng.random() < 0.5:
+                u = tuple(rng.randrange(poset.n) for _ in range(rng.randint(0, len(w))))
+            assert mobius_main(poset, u, w).value == _enumerated(poset, u, w), (u, w)
+
+
+def test_formula_terms_are_lazy(lam, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("embeddings enumerated")
+
+    monkeypatch.setattr(mobius_module, "embeddings", no_enumeration)
+    report = mobius_main(lam, (0,) * 9, (2,) * 18)
+    assert report.value == tomie_T(2, 27).coeff(9) == -18670080
+    with pytest.raises(AssertionError, match="embeddings enumerated"):
+        list(report.per_embedding)
