@@ -13,6 +13,13 @@ Two skipped-interval tests coexist:
   I of C is skipped iff the PLO-minimum maximal chain through C - I precedes
   C.  Combined with generating only chains whose label sequences strictly
   decrease (no other chain can be critical), this keeps large sweeps feasible.
+
+P0 (P with a bottom 0 adjoined) is the one-letter slice of subword order: the
+P0 interval [x, y] is the interval [(x), (y)] of words, or [empty, (y)] when
+x = 0, with the same covers and the same label keys (all at position 1, and
+label(0) = 0 both ways).  So the P0 chains that
+:meth:`MorseEngine.classify_single_position_msi` needs come from the word
+machinery on that interval; there is no separate P0 walker.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError, check_i64
-from .poset import ZERO, AugmentedPoset, FinitePoset, NaturalLabeling, natural_labeling
+from .poset import ZERO, FinitePoset, NaturalLabeling, natural_labeling
 from .words import (
     DEFAULT_MAX_CHAINS,
     DEFAULT_MAX_NODES,
@@ -109,12 +116,7 @@ def j_construction(
             lo2 = max(lo, j[1] + 1)
             if lo2 <= hi:
                 clipped.append((lo2, hi))
-        clipped = sorted(set(clipped))
-        current = sorted(
-            iv
-            for iv in clipped
-            if not any(o != iv and _contains(iv, o) for o in clipped)
-        )
+        current = _minimal_intervals(clipped)
     covered: set[int] = set()
     for lo, hi in js:
         covered.update(range(lo, hi + 1))
@@ -147,10 +149,9 @@ class MorseEngine:
 
     def __init__(self, poset: FinitePoset, labeling: NaturalLabeling | None = None):
         self.poset = poset
-        self.p0 = AugmentedPoset(poset)
         self.labeling = labeling if labeling is not None else natural_labeling(poset)
         # label of each id, with label(ZERO) = 0 last so that index ZERO = -1 reads it
-        self._label = [self.labeling(x) for x in range(poset.n)] + [0]
+        self._label = self.labeling.labels + (0,)
         self._move_cache: dict[Embedding, tuple[tuple[Label, Embedding], ...]] = {}
         self._lexmin_cache: dict[tuple[Embedding, tuple[Word, ...]], tuple[Label, ...]] = {}
 
@@ -219,7 +220,7 @@ class MorseEngine:
             if not 1 <= j <= len(w):
                 raise DomainError(f"label position {j} outside 1..{len(w)}")
             cur = eta[j - 1]
-            if cur == ZERO or x not in self.p0.covered_by(cur):
+            if cur == ZERO or x not in (self.poset.covers_below[cur] or (ZERO,)):
                 raise DomainError(f"label <{j},{x}> is not applicable at its step")
             eta[j - 1] = x
             words.append(restrict(tuple(eta)))
@@ -396,7 +397,8 @@ class MorseEngine:
         """All critical chains of [u, w], PLO-sorted.
 
         Only chains with strictly decreasing label sequences are examined;
-        no other chain can be critical.
+        no other chain can be critical.  The walker takes moves in label-key
+        order, so the chains already come out in PLO order.
         """
         u = check_word(self.poset, u)
         w = check_word(self.poset, w)
@@ -404,25 +406,11 @@ class MorseEngine:
             raise DomainError("critical_chains requires u <= w")
         if u == w:
             return []
-        out = [
+        return [
             dec
             for chain in self._lex_decreasing_chains(w, u)
             if (dec := self.decomposition_direct(chain)).is_critical
         ]
-        out.sort(key=lambda d: self.plo_key(d.chain))
-        return out
-
-    def critical_chains_below(self, w: Word) -> dict[Word, list[MsiDecomposition]]:
-        """Critical chains of [u, w] for every u < w, from one traversal."""
-        w = check_word(self.poset, w)
-        table: dict[Word, list[MsiDecomposition]] = {}
-        for chain in self._lex_decreasing_chains(w, None):
-            dec = self.decomposition_direct(chain)
-            if dec.is_critical:
-                table.setdefault(chain.bottom, []).append(dec)
-        for decs in table.values():
-            decs.sort(key=lambda d: self.plo_key(d.chain))
-        return table
 
     def mobius_morse(self, u: Word, w: Word) -> int:
         u = check_word(self.poset, u)
@@ -431,19 +419,18 @@ class MorseEngine:
             return 1
         if not trusted_leq(self.poset, u, w):
             raise DomainError("mobius_morse requires u <= w")
-        if any(restrict(eta) == u for _, eta in self.cover_moves(tuple(w))):
-            return -1
         total = sum(dec.sign() for dec in self.critical_chains(u, w))
         return check_i64(total, "mobius_morse")
 
     def mobius_morse_below(self, w: Word) -> dict[Word, int]:
         """mu(u, w) for every u <= w via the Morse sum, one traversal of w."""
         w = check_word(self.poset, w)
-        critical = self.critical_chains_below(w)
-        table = {
-            u: check_i64(sum(d.sign() for d in decs), "mobius_morse_below")
-            for u, decs in critical.items()
-        }
+        table: dict[Word, int] = {}
+        for chain in self._lex_decreasing_chains(w, None):
+            dec = self.decomposition_direct(chain)
+            if dec.is_critical:
+                total = table.get(chain.bottom, 0) + dec.sign()
+                table[chain.bottom] = check_i64(total, "mobius_morse_below")
         for u in interval_covers(self.poset, (), w, DEFAULT_MAX_NODES):
             table.setdefault(u, 0)
         table[w] = 1
@@ -467,52 +454,31 @@ class MorseEngine:
     # -- single-position MSI classification -----------------------------------
 
     def classify_single_position_msi(self, chain: LabeledChain) -> bool:
-        """Predict whether C(w, eta) is an MSI when eta differs from w in one slot."""
+        """Predict whether C(w, eta) is an MSI when eta differs from w in one slot.
+
+        The track of that slot j is a maximal chain of the P0 interval
+        [eta(j), w(j)], which is the one-letter interval [(eta(j)), (w(j))] of
+        subword order, or [empty, (w(j))] when eta(j) is 0: same covers, same
+        label keys, all at position 1.  Its SIs are read there.
+        """
         w = chain.top
         eta = chain.final_embedding
         diff = [j for j in range(len(w)) if eta[j] != w[j]]
         if len(diff) != 1:
             raise DomainError("endpoints must differ in exactly one position")
         j = diff[0]
-        chain0 = tuple(e[j] for e in chain.embeddings)
-        if len(chain0) <= 2:
+        track = [restrict((e[j],)) for e in chain.embeddings]
+        if len(track) <= 2:
             return False  # empty open interval cannot be an MSI
-        rightmost = not (
-            eta[j] == ZERO and j > 0 and self.p0.leq(w[j - 1], w[j])
-        )
-        if rightmost:
-            return self._p0_open_is_msi(chain0)
-        open_elems = chain0[1:-1]
-        if any(self.p0.leq(w[j - 1], x) for x in open_elems):
+        above = self.poset.above
+        left = w[j - 1] if eta[j] == ZERO and j > 0 else None
+        rightmost = left is None or w[j] not in above[left]
+        if not rightmost and any(x in above[left] for (x,) in track[1:-1]):
             return False
-        return not self._p0_has_proper_si(chain0)
-
-    # -- Morse machinery inside P0 --------------------------------------------
-
-    def _p0_sis(self, chain0: tuple[int, ...]) -> list[IndexInterval]:
-        """Brute-force SIs of a maximal chain of a P0 interval under its PLO."""
-        top, bottom = chain0[0], chain0[-1]
-        all0 = self.p0.maximal_chains(bottom, top)
-        keyed = sorted(all0, key=lambda c: tuple(self._label[x] for x in c[1:]))
-        idx = keyed.index(chain0)
-        earlier = [frozenset(c) for c in keyed[:idx]]
-        out: list[IndexInterval] = []
-        hi = len(chain0) - 2
-        for i in range(1, hi + 1):
-            for k in range(i, hi + 1):
-                needed = frozenset(chain0[:i]) | frozenset(chain0[k + 1 :])
-                if any(needed <= s for s in earlier):
-                    out.append((i, k))
-        return out
-
-    def _p0_open_is_msi(self, chain0: tuple[int, ...]) -> bool:
-        sis = self._p0_sis(chain0)
-        full = (1, len(chain0) - 2)
-        return full in sis and all(si == full for si in sis)
-
-    def _p0_has_proper_si(self, chain0: tuple[int, ...]) -> bool:
-        full = (1, len(chain0) - 2)
-        return any(si != full for si in self._p0_sis(chain0))
+        one_letter = self.label_chain(track)
+        sis = self.skipped_intervals(one_letter, self.all_chains(track[-1], track[0]))
+        full = (1, len(track) - 2)
+        return sis == [full] if rightmost else all(si == full for si in sis)
 
 
 def _minimal_intervals(intervals: Sequence[IndexInterval]) -> list[IndexInterval]:

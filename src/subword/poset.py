@@ -9,8 +9,9 @@ A :class:`FinitePoset` owns the tables every route reads: ``above`` (up-sets),
 ``covers_below`` (lower covers) and a memo of the Mobius function of P0,
 filled on demand by :meth:`FinitePoset.mu0` and shared by every caller.  These
 and :meth:`FinitePoset.interval0` take ids unchecked, so inner loops read them
-only after a public entry has validated its input; :class:`AugmentedPoset` is
-the validating view of P0 over the same tables.
+only after a public entry has validated its input.  :class:`AugmentedPoset` is
+only a validating view of P0 over the same tables: it checks ids and reads
+them, and no route builds one.
 """
 
 from __future__ import annotations
@@ -144,9 +145,6 @@ class FinitePoset:
     def minimals(self) -> list[int]:
         return [x for x in range(self.n) if not self._lower[x]]
 
-    def maximals(self) -> list[int]:
-        return [x for x in range(self.n) if not self._upper[x]]
-
     def is_antichain(self) -> bool:
         return not self.covers
 
@@ -218,7 +216,8 @@ class FinitePoset:
 
 
 class AugmentedPoset:
-    """The poset P with a bottom element (id ZERO) adjoined."""
+    """The poset P with a bottom element (id ZERO) adjoined: a validating view
+    over the base poset's ``above``, ``interval0`` and ``mu0``."""
 
     def __init__(self, base: FinitePoset):
         self.base = base
@@ -261,25 +260,6 @@ class AugmentedPoset:
             raise DomainError(f"mobius0 requires a <= b; got {a}, {b}")
         return self.base.mu0(a, b)
 
-    def maximal_chains(self, a: int, b: int) -> list[tuple[int, ...]]:
-        """All maximal chains of [a,b], each listed top-to-bottom (b first)."""
-        if not self.leq(a, b):
-            raise DomainError(f"{a} is not <= {b} in the augmented poset")
-        out: list[tuple[int, ...]] = []
-
-        def descend(x: int, acc: list[int]) -> None:
-            if x == a:
-                out.append(tuple(acc))
-                return
-            for y in self.covered_by(x):
-                if self.leq(a, y):
-                    acc.append(y)
-                    descend(y, acc)
-                    acc.pop()
-
-        descend(b, [b])
-        return out
-
 
 class NaturalLabeling:
     """An order-preserving injection of P into 1..n, with label(ZERO)=0."""
@@ -295,12 +275,12 @@ class NaturalLabeling:
             if labels[a] >= labels[b]:
                 raise InputError("labeling order is not a linear extension")
         self.poset = poset
-        self._labels = labels
+        self.labels = tuple(labels)  # label of each id, read unchecked by inner loops
 
     def __call__(self, x: int) -> int:
         if x == ZERO:
             return 0
-        return self._labels[self.poset.check_element(x)]
+        return self.labels[self.poset.check_element(x)]
 
 
 def natural_labeling(poset: FinitePoset) -> NaturalLabeling:

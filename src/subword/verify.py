@@ -61,9 +61,13 @@ def resolve_posets(spec: str) -> list[tuple[str, FinitePoset]]:
                 count = int(arg)
             except ValueError as exc:
                 raise InputError(f"bad poset spec {part!r}") from exc
+            if count < 0:
+                raise InputError(f"bad poset spec {part!r}: negative count")
             out.extend((f"random:seed={s}", random_poset(s)) for s in range(count))
         else:
             out.append((part, builtin_poset(part)))
+    if not out:
+        raise InputError(f"poset spec {spec!r} names no poset")
     return out
 
 
@@ -318,6 +322,8 @@ def run_all(
     lemma_max_w: int = 2,
     chebyshev_max_j: int = 5,
 ) -> list[SuiteResult]:
+    if min(max_w, lemma_max_w, chebyshev_max_j) < 0:
+        raise InputError("verify word-length and Chebyshev bounds must not be negative")
     posets = resolve_posets(poset_spec)
     small = [(nm, p) for nm, p in posets if p.n <= 5]
     return [

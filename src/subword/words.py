@@ -6,7 +6,7 @@ import json
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
-from .poset import ZERO, FinitePoset, NaturalLabeling, natural_labeling
+from .poset import ZERO, FinitePoset, natural_labeling
 
 Word = tuple[int, ...]
 Embedding = tuple[int, ...]
@@ -185,12 +185,6 @@ class IntervalDiagram:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def covers_down(self, v: Word) -> list[Word]:
-        return [self.nodes[i] for i in self._covers_down[self.index[v]]]
-
-    def covers_up(self, v: Word) -> list[Word]:
-        return [self.nodes[i] for i in self._covers_up[self.index[v]]]
-
     def maximal_chains(self, max_chains: int = DEFAULT_MAX_CHAINS) -> list[tuple[Word, ...]]:
         """All maximal chains, each top-to-bottom."""
         out: list[tuple[Word, ...]] = []
@@ -339,7 +333,6 @@ def build_interval(
     w: Sequence[int],
     max_nodes: int = DEFAULT_MAX_NODES,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
-    labeling: NaturalLabeling | None = None,
 ) -> IntervalDiagram:
     u = check_word(poset, u)
     w = check_word(poset, w)
@@ -349,11 +342,9 @@ def build_interval(
         )
     if not trusted_leq(poset, u, w):
         raise DomainError("build_interval requires u <= w")
-    if labeling is None:
-        labeling = natural_labeling(poset)
 
     below = interval_covers(poset, u, w, max_nodes)
-    label = [labeling(x) for x in range(poset.n)]
+    label = natural_labeling(poset).labels
     # Length, then labels, is a linear extension: a cover is shorter, or
     # lowers one letter to a smaller label.
     nodes = sorted(below, key=lambda v: (len(v), tuple(label[x] for x in v)))

@@ -217,3 +217,18 @@ def test_formula_overflow_exits_2(capsys):
         capsys, "mobius", "--poset", "lambda", "--u", "1" * 30, "--w", "3" * 60
     )
     assert code == 2 and out == "" and "overflowed 64-bit range" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--posets", "lambda", "--max-w", "-1"],
+        ["--posets", "lambda", "--lemma-max-w", "-1"],
+        ["--posets", "lambda", "--chebyshev-max-j", "-1"],
+        ["--posets", "random:-2"],
+        ["--posets", ","],
+    ],
+)
+def test_verify_rejects_specs_that_check_nothing(capsys, flags):
+    code, out, err = run(capsys, "verify", *flags)
+    assert code == 2 and out == "" and err.startswith("error: ")

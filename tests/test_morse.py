@@ -13,10 +13,13 @@ from subword import (
     embeddings,
     mobius_main,
     mobius_oracle,
+    natural_labeling,
     parse_word,
+    restrict,
 )
 from subword.morse import MorseEngine, j_construction
 from subword.poset import all_linear_extensions, random_poset
+from subword.verify import all_words
 
 CHAIN3 = builtin_poset("chain:3")
 
@@ -262,10 +265,13 @@ def test_critical_chain_labels_strictly_decrease(lam, fig3):
         eng = MorseEngine(poset)
         for w_txt, u_txt in pairs:
             u, w = parse_word(poset, u_txt), parse_word(poset, w_txt)
-            for dec in eng.critical_chains(u, w):
+            decs = eng.critical_chains(u, w)
+            for dec in decs:
                 keys = [eng.label_key(l) for l in dec.chain.labels]
                 assert keys == sorted(keys, reverse=True)
                 assert len(set(keys)) == len(keys)
+            plo = [eng.plo_key(dec.chain) for dec in decs]
+            assert all(a < b for a, b in zip(plo, plo[1:]))
 
 
 def test_mobius_morse_values(lam, fig3):
@@ -316,28 +322,86 @@ def test_per_embedding_mu_matches_contribution(lam, fig3):
             assert total == eng.mobius_morse(u, w)
 
 
-def test_classify_single_position_msi(lam, fig3):
-    # prediction agrees with brute force on every single-position chain
-    for poset, pairs in [
-        (lam, [("33", "3"), ("333", "33")]),
-        (fig3, [("29", "2"), ("89", "8")]),
-    ]:
+def test_classify_single_position_msi():
+    # prediction agrees with brute force on every single-position chain of
+    # every [u, w] with |w| <= 2 (|w| <= 3 when |P| <= 3)
+    posets = [builtin_poset(n) for n in ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")]
+    checked = 0
+    for poset in posets + [random_poset(s) for s in range(20)]:
         eng = MorseEngine(poset)
-        for w_txt, u_txt in pairs:
-            u, w = parse_word(poset, u_txt), parse_word(poset, w_txt)
-            ctx = eng.all_chains(u, w)
-            for chain in ctx.chains:
-                diff = [
-                    j
-                    for j in range(len(w))
-                    if chain.embeddings[0][j] != chain.final_embedding[j]
-                ]
-                if len(diff) != 1:
-                    continue
-                lo, hi = chain.open_range()
-                whole = (lo, hi)
-                brute = eng.msis(chain, ctx) == [whole] if hi >= lo else False
-                assert eng.classify_single_position_msi(chain) == brute
+        for w in all_words(poset, 3 if poset.n <= 3 else 2):
+            for u in build_interval(poset, (), w).nodes:
+                ctx = eng.all_chains(u, w)
+                for chain in ctx.chains:
+                    diff = [
+                        j
+                        for j in range(len(w))
+                        if chain.embeddings[0][j] != chain.final_embedding[j]
+                    ]
+                    if len(diff) != 1:
+                        continue
+                    lo, hi = chain.open_range()
+                    brute = eng.msis(chain, ctx) == [(lo, hi)] if hi >= lo else False
+                    assert eng.classify_single_position_msi(chain) == brute
+                    checked += 1
+    assert checked == 2525
+
+
+def p0_maximal_chains(poset, a, b):
+    """All maximal chains of the P0 interval [a, b], top-to-bottom: a walker
+    over P0 itself, independent of the word-level cover moves."""
+    p0 = AugmentedPoset(poset)
+    out = []
+
+    def descend(x, acc):
+        if x == a:
+            out.append(tuple(acc))
+            return
+        for y in p0.covered_by(x):
+            if p0.leq(a, y):
+                acc.append(y)
+                descend(y, acc)
+                acc.pop()
+
+    descend(b, [b])
+    return out
+
+
+def p0_skipped_intervals(poset, chain0):
+    """Brute-force SIs of a maximal chain of a P0 interval under its PLO."""
+    label = natural_labeling(poset)
+    keyed = sorted(
+        p0_maximal_chains(poset, chain0[-1], chain0[0]),
+        key=lambda c: tuple(label(x) for x in c[1:]),
+    )
+    earlier = [frozenset(c) for c in keyed[: keyed.index(chain0)]]
+    hi = len(chain0) - 2
+    return [
+        (i, k)
+        for i in range(1, hi + 1)
+        for k in range(i, hi + 1)
+        if any(frozenset(chain0[:i]) | frozenset(chain0[k + 1 :]) <= s for s in earlier)
+    ]
+
+
+def test_one_letter_intervals_have_the_p0_skipped_intervals():
+    # [x, y] in P0 is the interval [(x), (y)] of words ([empty, (y)] for x = 0)
+    names = ("lambda", "lambda:3", "lambda:4", "fig3", "chain:3", "chain:4", "antichain:3")
+    posets = [builtin_poset(n) for n in names] + [random_poset(s, 6) for s in range(200)]
+    checked = 0
+    for poset in posets:
+        eng = MorseEngine(poset)
+        for y in range(poset.n):
+            for x in [ZERO] + [x for x in range(poset.n) if x != y and y in poset.above[x]]:
+                for chain0 in p0_maximal_chains(poset, x, y):
+                    track = [restrict((z,)) for z in chain0]
+                    ctx = eng.all_chains(track[-1], track[0])
+                    chain = eng.label_chain(track)
+                    assert eng.skipped_intervals(chain, ctx) == p0_skipped_intervals(
+                        poset, chain0
+                    )
+                    checked += 1
+    assert checked == 1345
 
 
 def test_morse_agreement_small_sweep():
