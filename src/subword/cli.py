@@ -146,7 +146,7 @@ def cmd_critical_chains(args: argparse.Namespace) -> int:
             f"{dec.chain.describe()}  J: {js}  d={dec.critical_dimension} "
             f"sign={dec.sign():+d}"
         )
-    total = sum(dec.sign() for dec in decs)
+    total = 1 if u == w else sum(dec.sign() for dec in decs)
     print(f"critical chains: {len(decs)}, mobius sum: {total}")
     return 0
 

@@ -11,8 +11,10 @@ Two skipped-interval tests coexist:
   (:func:`skipped_intervals`), used by small-scale property tests; and
 * an exact direct test used by :meth:`MorseEngine.critical_chains`: an interval
   I of C is skipped iff the PLO-minimum maximal chain through C - I precedes
-  C.  Combined with generating only chains whose label sequences strictly
-  decrease (no other chain can be critical), this keeps large sweeps feasible.
+  C.  That chain is never later than C, so the test is decided where it
+  first leaves C, and it looks only at C's own steps across I.  Combined with
+  generating only chains whose label sequences strictly decrease (no other
+  chain can be critical), this keeps large sweeps feasible.
 
 P0 (P with a bottom 0 adjoined) is the one-letter slice of subword order: the
 P0 interval [x, y] is the interval [(x), (y)] of words, or [empty, (y)] when
@@ -131,7 +133,7 @@ class ChainContext:
         self.engine = engine
         self.u = u
         self.w = w
-        self.chains = sorted(chains, key=engine.plo_key)
+        self.chains = chains
         self.sets = [frozenset(c.words) for c in self.chains]
         self._index = {c.labels: i for i, c in enumerate(self.chains)}
         if len(self._index) != len(self.chains):
@@ -153,7 +155,6 @@ class MorseEngine:
         # label of each id, with label(ZERO) = 0 last so that index ZERO = -1 reads it
         self._label = self.labeling.labels + (0,)
         self._move_cache: dict[Embedding, tuple[tuple[Label, Embedding], ...]] = {}
-        self._lexmin_cache: dict[tuple[Embedding, tuple[Word, ...]], tuple[Label, ...]] = {}
 
     # -- labels and the PLO ---------------------------------------------------
 
@@ -337,56 +338,49 @@ class MorseEngine:
         js, crit = j_construction(msis, lo, hi)
         return MsiDecomposition(chain, tuple(sorted(msis)), js, crit, len(js) - 1)
 
-    # -- skipped intervals: direct PLO-minimum test ---------------------------
-
-    def _lexmin_through(self, w_eta: Embedding, required: tuple[Word, ...]) -> tuple[Label, ...]:
-        """Label sequence of the PLO-minimum maximal chain from w through the
-        given descending element list (which starts below w and ends at the
-        chain bottom)."""
-        key = (w_eta, required)
-        cached = self._lexmin_cache.get(key)
-        if cached is not None:
-            return cached
-        labels: list[Label] = []
-        eta = w_eta
-        remaining = list(required)
-        while remaining:
-            target = remaining[0]
-            if restrict(eta) == target:
-                remaining.pop(0)
-                continue
-            for label, nxt in self.cover_moves(eta):
-                if trusted_leq(self.poset, target, restrict(nxt)):
-                    labels.append(label)
-                    eta = nxt
-                    break
-            else:  # pragma: no cover - target <= current always leaves a move
-                raise AssertionError("no feasible cover move")
-        result = tuple(labels)
-        self._lexmin_cache[key] = result
-        return result
+    # -- skipped intervals: first divergence from C ----------------------------
 
     def is_si(self, chain: LabeledChain, interval: IndexInterval) -> bool:
-        """Exact SI test: some chain through C - I precedes C in the PLO."""
+        """Exact SI test: some chain through C - I precedes C in the PLO.
+
+        Every chain through C - I takes C's cover steps down to words[i-1].
+        From there the PLO-minimum one takes, at each step, the first move
+        that stays above words[j+1]; C's own move always does, so it leaves C
+        only for a smaller label, and below words[j+1] it is forced again.
+        """
         i, j = interval
         lo, hi = chain.open_range()
         if not (lo <= i <= j <= hi):
             raise DomainError("interval must lie in the open chain")
-        required = chain.words[1:i] + chain.words[j + 1 :]
-        lexmin = self._lexmin_through(chain.embeddings[0], required)
-        own = tuple(self.label_key(l) for l in chain.labels)
-        other = tuple(self.label_key(l) for l in lexmin)
-        return other < own
+        target = chain.words[j + 1]
+        for k in range(i - 1, j + 1):
+            own = chain.labels[k]
+            for label, eta in self.cover_moves(chain.embeddings[k]):
+                if label == own:
+                    break
+                if trusted_leq(self.poset, target, restrict(eta)):
+                    return True
+        return False
 
     def msis_direct(self, chain: LabeledChain) -> list[IndexInterval]:
+        """MSIs of chain with O(L) SI tests.
+
+        SIs stay skipped when enlarged, so the least skipped end f(i) of an
+        interval starting at i never decreases with i, and (i, f(i)) is
+        minimal exactly when f(i) < f(i+1).
+        """
         lo, hi = chain.open_range()
-        sis = [
-            (i, j)
-            for i in range(lo, hi + 1)
-            for j in range(i, hi + 1)
-            if self.is_si(chain, (i, j))
+        ends: list[int] = []
+        j = lo
+        for i in range(lo, hi + 1):
+            j = max(j, i)
+            while j <= hi and not self.is_si(chain, (i, j)):
+                j += 1
+            ends.append(j)
+        ends.append(hi + 1)
+        return [
+            (i, f) for i, f, g in zip(range(lo, hi + 1), ends, ends[1:]) if f < g
         ]
-        return _minimal_intervals(sis)
 
     def decomposition_direct(self, chain: LabeledChain) -> MsiDecomposition:
         return self._decompose(chain, self.msis_direct(chain))

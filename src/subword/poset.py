@@ -376,20 +376,21 @@ def random_poset(seed: int, max_elements: int = 5) -> FinitePoset:
 
 @lru_cache(maxsize=None)
 def builtin_poset(name: str) -> FinitePoset:
-    """Resolve chain:n, antichain:n, lambda, lambda:s, fig3."""
+    """Resolve chain:n, antichain:n (n >= 0), lambda, lambda:s (s >= 1), fig3."""
     head, _, arg = name.partition(":")
+    if head == "fig3" and not arg:
+        return _fig3()
+    build, least = {"chain": (_chain, 0), "antichain": (_antichain, 0),
+                     "lambda": (_lambda_s, 1)}.get(head, (None, 0))
+    if build is None:
+        raise InputError(f"unknown built-in poset {name!r}")
     try:
-        if head == "chain":
-            return _chain(int(arg))
-        if head == "antichain":
-            return _antichain(int(arg))
-        if head == "lambda":
-            return _lambda_s(int(arg) if arg else 2)
-        if head == "fig3" and not arg:
-            return _fig3()
+        size = int(arg) if arg or head != "lambda" else 2
     except ValueError as exc:
         raise InputError(f"bad poset name {name!r}: {exc}") from exc
-    raise InputError(f"unknown built-in poset {name!r}")
+    if size < least:
+        raise InputError(f"bad poset name {name!r}: size must be at least {least}")
+    return build(size)
 
 
 def load_poset(source: str) -> FinitePoset:

@@ -98,6 +98,19 @@ def test_critical_chains_output(capsys):
     assert sum("d=1" in l for l in lines) == 2
 
 
+def test_critical_chains_trivial_interval(capsys):
+    code, out, _ = run(
+        capsys, "critical-chains", "--poset", "lambda", "--u", "11", "--w", "11"
+    )
+    assert code == 0 and out == "critical chains: 0, mobius sum: 1\n"
+
+
+@pytest.mark.parametrize("name", ["lambda:0", "chain:-3"])
+def test_out_of_range_builtin_size_exits_2(capsys, name):
+    code, out, err = run(capsys, "mobius", "--poset", name, "--u", "", "--w", "")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_chebyshev_table(capsys):
     code, out, _ = run(capsys, "chebyshev", "--s", "2", "--max-n", "6")
     assert code == 0

@@ -17,11 +17,13 @@ from subword import (
     parse_word,
     restrict,
 )
-from subword.morse import MorseEngine, j_construction
+from subword.morse import MorseEngine, _minimal_intervals, j_construction
 from subword.poset import all_linear_extensions, random_poset
 from subword.verify import all_words
+from subword.words import trusted_leq
 
 CHAIN3 = builtin_poset("chain:3")
+BUILTINS = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
 
 
 def words(poset, *texts):
@@ -97,12 +99,18 @@ def test_plo_zero_label_first(lam):
     assert eng.label_key((1, ZERO)) < eng.label_key((1, 0))
 
 
-def test_plo_total_on_interval(lam):
-    eng = MorseEngine(lam)
-    ctx = eng.all_chains(parse_word(lam, "11"), parse_word(lam, "333"))
-    keys = [eng.plo_key(c) for c in ctx.chains]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+def test_plo_total_on_interval():
+    # all_chains emits every interval's chains in strictly increasing PLO order
+    posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(3)]
+    checked = 0
+    for poset in posets:
+        eng = MorseEngine(poset)
+        for w in all_words(poset, 2 if poset.n > 5 else 3):
+            for u in build_interval(poset, (), w).nodes:
+                keys = [eng.plo_key(c) for c in eng.all_chains(u, w).chains]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                checked += 1
+    assert checked == 4057
 
 
 # -- chain specification -------------------------------------------------------
@@ -228,6 +236,77 @@ def test_fast_si_test_matches_brute_force(lam, fig3):
                 fast = eng.decomposition_direct(chain)
                 assert brute.is_critical == fast.is_critical
                 assert brute.j_intervals == fast.j_intervals
+
+
+def lexmin_through(eng, w_eta, required):
+    """Labels of the PLO-minimum maximal chain from w through the descending
+    element list required (below w, down to the chain bottom): the full walk
+    from w, taking at each step the first move that stays above the next
+    required element."""
+    labels = []
+    eta = w_eta
+    remaining = list(required)
+    while remaining:
+        target = remaining[0]
+        if restrict(eta) == target:
+            remaining.pop(0)
+            continue
+        label, eta = next(
+            (label, nxt)
+            for label, nxt in eng.cover_moves(eta)
+            if trusted_leq(eng.poset, target, restrict(nxt))
+        )
+        labels.append(label)
+    return tuple(labels)
+
+
+def full_walk_is_si(eng, chain, interval):
+    """Reference SI test: the PLO-minimum chain through C - I precedes C."""
+    i, j = interval
+    required = chain.words[1:i] + chain.words[j + 1 :]
+    lexmin = lexmin_through(eng, chain.embeddings[0], required)
+    return [eng.label_key(l) for l in lexmin] < [eng.label_key(l) for l in chain.labels]
+
+
+def test_is_si_matches_full_walk():
+    # every interval of every strictly decreasing chain from w, prefixes included
+    posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s, 4) for s in range(12)]
+    checked = 0
+    for poset in posets:
+        eng = MorseEngine(poset)
+        for w in all_words(poset, 2 if poset.n > 5 else 3):
+            for chain in eng._lex_decreasing_chains(w, None):
+                lo, hi = chain.open_range()
+                for i in range(lo, hi + 1):
+                    for j in range(i, hi + 1):
+                        expected = full_walk_is_si(eng, chain, (i, j))
+                        assert eng.is_si(chain, (i, j)) == expected
+                        checked += 1
+    assert checked == 26764
+
+
+def all_pairs_msis(eng, chain):
+    lo, hi = chain.open_range()
+    return _minimal_intervals(
+        [(i, j) for i in range(lo, hi + 1) for j in range(i, hi + 1) if eng.is_si(chain, (i, j))]
+    )
+
+
+def test_two_pointer_msis_match_all_pairs_scan(lam, fig3):
+    eng = MorseEngine(lam)
+    chains = [(eng, c) for c in eng._lex_decreasing_chains(parse_word(lam, "33333"), None)]
+    for u_txt in ("", "1"):
+        bottom = parse_word(lam, u_txt)
+        chains += [(eng, c) for c in eng._lex_decreasing_chains(parse_word(lam, "333333"), bottom)]
+    # here a least SI (i, f(i)) can contain the one starting at i + 1
+    for poset, max_w in ((CHAIN3, 3), (fig3, 2)):
+        eng = MorseEngine(poset)
+        chains += [
+            (eng, c) for w in all_words(poset, max_w) for c in eng._lex_decreasing_chains(w, None)
+        ]
+    for eng, chain in chains:
+        assert eng.msis_direct(chain) == all_pairs_msis(eng, chain)
+    assert len(chains) == 5652
 
 
 def test_j_construction():

@@ -148,6 +148,11 @@ def test_builtins():
         builtin_poset("pentagon")
     with pytest.raises(InputError):
         builtin_poset("chain:x")
+    assert builtin_poset("lambda:1").n == 2
+    assert builtin_poset("chain:0").n == 0 and builtin_poset("antichain:0").n == 0
+    for name in ("lambda:0", "lambda:-2", "chain:-3", "antichain:-1"):
+        with pytest.raises(InputError, match="size must be at least"):
+            builtin_poset(name)
 
 
 def test_json_round_trip(fig3):
