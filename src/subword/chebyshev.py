@@ -3,8 +3,8 @@ family, and coefficient cross-checks against word-interval Mobius values."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, IntegerOverflowError
 from .mobius import mobius_main, mobius_oracle
@@ -21,17 +21,20 @@ def binom(n: int, k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial; coefficients ascending, trailing zeros trimmed."""
-
+class _Coefficients(NamedTuple):
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
-        trimmed = list(self.coefficients)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coefficients", tuple(trimmed))
+
+class IntPolynomial(_Coefficients):
+    """Dense integer polynomial; coefficients ascending, trailing zeros trimmed."""
+
+    __slots__ = ()
+
+    def __new__(cls, coefficients: tuple[int, ...]):
+        end = len(coefficients)
+        while end and coefficients[end - 1] == 0:
+            end -= 1
+        return super().__new__(cls, tuple(coefficients[:end]))
 
     @property
     def degree(self) -> int:
@@ -95,8 +98,7 @@ def _as_int(value: Fraction, context: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class ChebyshevCheck:
+class ChebyshevCheck(NamedTuple):
     i: int
     j: int
     s: int

@@ -4,6 +4,14 @@ Subcommands: mobius, interval, critical-chains, chebyshev, homotopy, verify.
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap
 exceeded.
 
+Start-up: this module loads only ``errors``, ``poset`` and ``words``, and
+each subcommand imports the route it runs: ``mobius`` and ``homotopy`` import
+``mobius``, ``chebyshev`` imports ``chebyshev`` (and through it ``mobius``),
+``--method morse``/``all`` and ``critical-chains`` import ``morse``, and
+``verify`` imports ``verify``.  ``interval`` needs nothing more, and no
+subcommand loads ``dataclasses``.  A formula call thus costs about one
+interpreter start-up.
+
 Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) and ``--max-word-len`` bound
 the intervals that interval, homotopy and the oracle route of mobius build;
 the formula and Morse routes of mobius and critical-chains apply neither yet.
@@ -18,7 +26,6 @@ import json
 import os
 import sys
 
-from .chebyshev import tomie_T, verify_chebyshev
 from .errors import (
     DomainError,
     InputError,
@@ -27,10 +34,7 @@ from .errors import (
     UnsupportedPosetError,
     VerificationError,
 )
-from .mobius import homotopy_type, mobius_main, mobius_oracle_from_diagram
-from .morse import MorseEngine
-from .poset import FinitePoset, load_poset
-from .verify import DEFAULT_POSET_SPEC, run_all
+from .poset import DEFAULT_POSET_SPEC, FinitePoset, load_poset
 from .words import (
     DEFAULT_MAX_CHAINS,
     DEFAULT_MAX_NODES,
@@ -91,6 +95,8 @@ def _load(args: argparse.Namespace) -> tuple[FinitePoset, Word, Word]:
 
 
 def cmd_mobius(args: argparse.Namespace) -> int:
+    from .mobius import mobius_main, mobius_oracle_from_diagram
+
     poset, u, w = _load(args)
     max_nodes, _ = _caps(args)
     values: dict[str, int] = {}
@@ -104,6 +110,8 @@ def cmd_mobius(args: argparse.Namespace) -> int:
         )
         values["oracle"] = mobius_oracle_from_diagram(diagram)
     if args.method in ("morse", "all"):
+        from .morse import MorseEngine
+
         values["morse"] = MorseEngine(poset).mobius_morse(u, w)
     pair = f"mu({format_word(poset, u)}, {format_word(poset, w)})"
     if args.format == "json":
@@ -137,6 +145,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
 
 
 def cmd_critical_chains(args: argparse.Namespace) -> int:
+    from .morse import MorseEngine
+
     poset, u, w = _load(args)
     _caps(args)
     decs = MorseEngine(poset).critical_chains(u, w)
@@ -152,6 +162,8 @@ def cmd_critical_chains(args: argparse.Namespace) -> int:
 
 
 def cmd_chebyshev(args: argparse.Namespace) -> int:
+    from .chebyshev import tomie_T, verify_chebyshev
+
     if args.s < 1 or args.max_n < 0:
         raise InputError("chebyshev requires --s >= 1 and --max-n >= 0")
     rows = []
@@ -173,6 +185,8 @@ def cmd_chebyshev(args: argparse.Namespace) -> int:
 
 
 def cmd_homotopy(args: argparse.Namespace) -> int:
+    from .mobius import homotopy_type
+
     poset, u, w = _load(args)
     max_nodes, _ = _caps(args)
     report = homotopy_type(poset, u, w, max_nodes, args.max_word_len)
@@ -181,6 +195,8 @@ def cmd_homotopy(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_all
+
     results = run_all(
         poset_spec=args.posets,
         max_w=args.max_w,

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedPosetError, check_i64
 from .poset import ZERO, AugmentedPoset, FinitePoset, mobius_hat_chain_count
@@ -39,14 +39,13 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class MobiusReport:
+class MobiusReport(NamedTuple):
     poset: FinitePoset
     u: Word
     w: Word
     value: int
     method: str  # formula | oracle | morse
-    per_embedding: Sequence[tuple[Embedding, int]] = field(default=(), compare=False)
+    per_embedding: Sequence[tuple[Embedding, int]] = ()
     comparable: bool = True
 
     def to_json(self) -> str:
@@ -65,8 +64,7 @@ class MobiusReport:
         )
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
+class HomotopyReport(NamedTuple):
     sphere_count: int
     dimension: int
     rank_w: int
@@ -102,7 +100,11 @@ def _contribution(poset: FinitePoset, eta: Embedding, w: Word) -> int:
 
 
 class _EmbeddingTerms(Sequence):
-    """(embedding, contribution) pairs of checked u <= w, built on first read."""
+    """(embedding, contribution) pairs of checked u <= w, built on first read.
+
+    Equal and hashed by (poset, u, w), so reports of one interval compare
+    equal without building their terms.
+    """
 
     def __init__(self, poset: FinitePoset, u: Word, w: Word):
         self._args = (poset, u, w)
@@ -117,6 +119,12 @@ class _EmbeddingTerms(Sequence):
 
     def __len__(self) -> int:
         return len(self._terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _EmbeddingTerms) and self._args == other._args
+
+    def __hash__(self) -> int:
+        return hash(self._args)
 
 
 def mobius_main(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> MobiusReport:

@@ -26,8 +26,7 @@ machinery on that interval; there is no separate P0 walker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError, check_i64
 from .poset import ZERO, FinitePoset, NaturalLabeling, natural_labeling
@@ -49,8 +48,7 @@ Label = tuple[int, int]  # (1-based position in w, letter id or ZERO)
 IndexInterval = tuple[int, int]  # inclusive indices into a chain's word list
 
 
-@dataclass(frozen=True)
-class LabeledChain:
+class LabeledChain(NamedTuple):
     """A maximal chain of [u, w] with its embedding track and label sequence."""
 
     poset: FinitePoset
@@ -84,8 +82,7 @@ class LabeledChain:
         return f"<{j},{'0' if x == ZERO else self.poset.names[x]}>"
 
 
-@dataclass(frozen=True)
-class MsiDecomposition:
+class MsiDecomposition(NamedTuple):
     """MSIs, disjointified J-intervals, and criticality data of one chain."""
 
     chain: LabeledChain

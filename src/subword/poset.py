@@ -374,14 +374,18 @@ def random_poset(seed: int, max_elements: int = 5) -> FinitePoset:
     return FinitePoset([str(i + 1) for i in range(n)], covers)
 
 
+# Sized built-in families: name -> (constructor, least size); fig3 takes none.
+_FAMILIES = {"chain": (_chain, 0), "antichain": (_antichain, 0), "lambda": (_lambda_s, 1)}
+DEFAULT_POSET_SPEC = "lambda,lambda:3,fig3,chain:3,antichain:3"
+
+
 @lru_cache(maxsize=None)
 def builtin_poset(name: str) -> FinitePoset:
     """Resolve chain:n, antichain:n (n >= 0), lambda, lambda:s (s >= 1), fig3."""
     head, _, arg = name.partition(":")
     if head == "fig3" and not arg:
         return _fig3()
-    build, least = {"chain": (_chain, 0), "antichain": (_antichain, 0),
-                     "lambda": (_lambda_s, 1)}.get(head, (None, 0))
+    build, least = _FAMILIES.get(head, (None, 0))
     if build is None:
         raise InputError(f"unknown built-in poset {name!r}")
     try:
@@ -394,15 +398,21 @@ def builtin_poset(name: str) -> FinitePoset:
 
 
 def load_poset(source: str) -> FinitePoset:
-    """Resolve a built-in name or a JSON file path."""
+    """Resolve a built-in name or a JSON file path.
+
+    An unreadable source whose text before ``:`` names a built-in family
+    reports the built-in's own error (say, a size out of range).
+    """
     try:
         return builtin_poset(source)
-    except InputError:
-        pass
+    except InputError as exc:
+        builtin_error = exc
     try:
         with open(source, "r", encoding="utf-8") as fh:
             return FinitePoset.from_json(fh.read())
     except OSError as exc:
+        if source.partition(":")[0] in (*_FAMILIES, "fig3"):
+            raise builtin_error from None
         raise InputError(
             f"poset source {source!r} is neither a built-in name nor a readable file"
         ) from exc

@@ -8,7 +8,6 @@ counterexample so callers can name the offending instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .chebyshev import chebyshev_T, chebyshev_T_closed, verify_chebyshev
@@ -21,6 +20,7 @@ from .mobius import (
 )
 from .morse import MorseEngine
 from .poset import (
+    DEFAULT_POSET_SPEC,
     ZERO,
     FinitePoset,
     builtin_poset,
@@ -29,14 +29,14 @@ from .poset import (
 )
 from .words import Word, build_interval, format_word, trusted_leq
 
-DEFAULT_POSET_SPEC = "lambda,lambda:3,fig3,chain:3,antichain:3"
 
-
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's check count and the counterexamples of its failed checks."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:

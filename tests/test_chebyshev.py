@@ -35,6 +35,8 @@ def test_polynomial_trimming():
     assert p.coefficients == (1, 2)
     assert p.degree == 1
     assert p.coeff(0) == 1 and p.coeff(5) == 0
+    assert p == IntPolynomial((1, 2)) and hash(p) == hash(IntPolynomial((1, 2)))
+    assert IntPolynomial((0, 0)).coefficients == () and p != IntPolynomial((1, 2, 3))
 
 
 def test_chebyshev_base_cases():

@@ -107,8 +107,20 @@ def test_critical_chains_trivial_interval(capsys):
 
 @pytest.mark.parametrize("name", ["lambda:0", "chain:-3"])
 def test_out_of_range_builtin_size_exits_2(capsys, name):
+    # the built-in's own reason, not the generic unreadable-file message
     code, out, err = run(capsys, "mobius", "--poset", name, "--u", "", "--w", "")
-    assert code == 2 and out == "" and err.startswith("error: ")
+    least = 1 if name.startswith("lambda") else 0
+    assert code == 2 and out == ""
+    assert err == f"error: bad poset name {name!r}: size must be at least {least}\n"
+
+
+def test_missing_poset_file_keeps_the_generic_message(capsys, tmp_path):
+    path = str(tmp_path / "foo.json")
+    code, out, err = run(capsys, "mobius", "--poset", path, "--u", "", "--w", "")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: poset source {path!r} is neither a built-in name nor a readable file\n"
+    )
 
 
 def test_chebyshev_table(capsys):

@@ -80,6 +80,14 @@ def test_mobius_main_incomparable(lam):
     assert report.value == 0 and not report.comparable and not report.per_embedding
 
 
+def test_mobius_reports_of_one_interval_are_equal_and_hash_alike(lam):
+    for u, w in (("11", "333"), ("2", "11")):  # a comparable and a non-comparable pair
+        u, w = parse_word(lam, u), parse_word(lam, w)
+        first, second = mobius_main(lam, u, w), mobius_main(lam, u, w)
+        assert first == second and hash(first) == hash(second)
+    assert mobius_main(lam, (0,), (2,)) != mobius_main(lam, (1,), (2,))
+
+
 def test_mobius_report_json(lam):
     import json
 

@@ -13,14 +13,54 @@ def test_all_names_resolve_and_are_not_modules():
         assert not isinstance(getattr(subword, name), types.ModuleType), name
 
 
-def test_cli_import_does_not_load_numpy():
+# Imports a target, or runs `subword.cli.main(argv)`, then prints on its last
+# line the loaded modules named "subword*", "numpy*" or "dataclasses".
+_LOADED_MODULES = """
+import json, sys
+argv = sys.argv[1:]
+if argv[0] == "import":
+    __import__(argv[1])
+else:
+    from subword.cli import main
+    assert main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("subword", "numpy")) or m == "dataclasses")))
+"""
+
+
+def _loaded_modules(*argv):
     src = str(Path(subword.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, subword.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_cli_import_does_not_load_numpy():
+    # Each subcommand imports only the route it runs; nothing loads numpy or
+    # dataclasses (whose import pulls in inspect, ast and dis).
+    assert _loaded_modules("import", "subword") == {"subword"}
+    assert _loaded_modules("import", "subword.cli") == {
+        "subword", "subword.cli", "subword.errors", "subword.poset", "subword.words",
+    }
+    words = ["--poset", "lambda", "--u", "1", "--w", "33"]
+    loaded = {
+        "mobius": _loaded_modules("mobius", *words),
+        "chebyshev": _loaded_modules("chebyshev", "--s", "2", "--max-n", "3"),
+        "interval": _loaded_modules("interval", *words),
+        "morse": _loaded_modules("mobius", *words, "--method", "all"),
+        "critical-chains": _loaded_modules("critical-chains", *words),
+        "homotopy": _loaded_modules("homotopy", *words),
+        "verify": _loaded_modules("verify", "--posets", "lambda", "--max-w", "1"),
+    }
+    for name in ("mobius", "chebyshev"):
+        assert not loaded[name] & {"subword.morse", "subword.verify"}, name
+    assert "subword.mobius" not in loaded["interval"]
+    assert "subword.morse" in loaded["morse"] and "subword.verify" in loaded["verify"]
+    for name, modules in loaded.items():
+        assert not any(m == "dataclasses" or m.startswith("numpy") for m in modules), name
 
 
 def test_traced_replay_reaches_patched_names(tmp_path):
@@ -32,6 +72,8 @@ def test_traced_replay_reaches_patched_names(tmp_path):
         ["mobius", "--poset", "lambda", "--u", "1", "--w", "333", "--method", "all"],
         ["critical-chains", "--poset", "fig3", "--u", "2", "--w", "29"],
         ["verify", "--posets", "lambda", "--max-w", "1"],
+        ["interval", "--poset", "lambda", "--u", "1", "--w", "33"],
+        ["chebyshev", "--s", "2", "--max-n", "3"],
     ]))
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -41,7 +83,10 @@ def test_traced_replay_reaches_patched_names(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     data = json.loads(result.read_text())
-    assert [op["code"] for op in data["ops"]] == [0, 0, 0]
+    assert [op["code"] for op in data["ops"]] == [0] * 5
     metrics = data["metrics"]
-    for name in ("morse.cover_moves.calls", "morse.is_si.calls", "morse.chains_examined"):
+    # the subcommands import their routes lazily; the wrappers must reach them
+    for name in ("morse.cover_moves.calls", "morse.is_si.calls", "morse.chains_examined",
+                 "mobius.mobius_main.calls", "words.build_interval.calls",
+                 "chebyshev.verify_chebyshev.calls", "verify.oracle_equivalence.checks"):
         assert metrics[name] > 0, name
