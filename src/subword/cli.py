@@ -13,8 +13,8 @@ subcommand loads ``dataclasses``.  A formula call thus costs about one
 interpreter start-up.
 
 Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) and ``--max-word-len`` bound
-the intervals that interval, homotopy and the oracle route of mobius build;
-the formula and Morse routes of mobius and critical-chains apply neither yet.
+the intervals that interval and the oracle route of mobius build; homotopy
+and the formula route build none, and the Morse routes apply neither yet.
 ``--max-chains`` (else SUBWORD_MAX_CHAINS) is enforced by none yet, but every
 subcommand that takes the caps rejects a bad value of any of them with exit 2.
 """
@@ -188,9 +188,8 @@ def cmd_homotopy(args: argparse.Namespace) -> int:
     from .mobius import homotopy_type
 
     poset, u, w = _load(args)
-    max_nodes, _ = _caps(args)
-    report = homotopy_type(poset, u, w, max_nodes, args.max_word_len)
-    print(report.describe())
+    _caps(args)
+    print(homotopy_type(poset, u, w).describe())
     return 0
 
 

@@ -294,27 +294,16 @@ def mobius_embedding_subposet(
     )
 
 
-def rank_word(
-    poset: FinitePoset,
-    w: Sequence[int],
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_word_len: int = DEFAULT_MAX_WORD_LEN,
-) -> int:
-    """Longest-chain rank of w inside the interval from the empty word to w."""
-    w = check_word(poset, w)
-    diagram = build_interval(poset, (), w, max_nodes=max_nodes, max_word_len=max_word_len)
-    return diagram.ranks[diagram.index[w]]
+def rank_word(poset: FinitePoset, w: Sequence[int]) -> int:
+    """Longest-chain rank of w in [empty word, w]: sum(1 + rk_P(x)) over its
+    letters.  Each cover lowers that sum by at least one, and lowering each letter
+    along a longest chain of P before deleting it takes exactly that many."""
+    return sum(1 + poset.rank_element(x) for x in check_word(poset, w))
 
 
-def homotopy_type(
-    poset: FinitePoset,
-    u: Sequence[int],
-    w: Sequence[int],
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_word_len: int = DEFAULT_MAX_WORD_LEN,
-) -> HomotopyReport:
-    """Wedge-of-spheres report for ground posets of rank at most 1; the caps
-    bound the two rank intervals it builds."""
+def homotopy_type(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> HomotopyReport:
+    """Wedge-of-spheres report for ground posets of rank at most 1: |mu(u, w)|
+    spheres of dimension rk(w) - rk(u) - 2, read from the formula and ranks."""
     if poset.rank_poset() > 1:
         raise UnsupportedPosetError(
             "homotopy_type applies only to ground posets of rank <= 1"
@@ -323,8 +312,8 @@ def homotopy_type(
     w = check_word(poset, w)
     if u == w or not trusted_leq(poset, u, w):
         raise DomainError("homotopy_type requires u < w")
-    rk_w = rank_word(poset, w, max_nodes, max_word_len)
-    rk_u = rank_word(poset, u, max_nodes, max_word_len)
+    rk_w = rank_word(poset, w)
+    rk_u = rank_word(poset, u)
     if rk_w - rk_u < 2:
         raise DomainError(
             "degenerate interval: rank gap below 2 has no sphere dimension"

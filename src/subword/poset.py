@@ -312,12 +312,15 @@ def mobius_hat_chain_count(
     c_i counts chains with i+1 elements, evaluated by dynamic programming.
     """
     elems = list(elements)
+    below = [
+        [j for j, b in enumerate(elems) if j != i and leq(b, a)]
+        for i, a in enumerate(elems)
+    ]
     # h[x] = signed count, over chains with top x, of (-1)^(#elements - 1).
-    order = sorted(range(len(elems)), key=lambda i: sum(leq(elems[j], elems[i]) for j in range(len(elems))))
+    # Ordering by down-set size is a linear extension.
     h: dict[int, int] = {}
-    for i in order:
-        below = [j for j in order if j != i and leq(elems[j], elems[i])]
-        h[i] = 1 - sum(h[j] for j in below)
+    for i in sorted(range(len(elems)), key=lambda i: len(below[i])):
+        h[i] = 1 - sum(h[j] for j in below[i])
     return check_i64(-1 + sum(h.values()), "mobius_hat_chain_count")
 
 
@@ -416,3 +419,5 @@ def load_poset(source: str) -> FinitePoset:
         raise InputError(
             f"poset source {source!r} is neither a built-in name nor a readable file"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"poset file {source!r} is not UTF-8 text: {exc}") from exc

@@ -284,16 +284,15 @@ def run_inclusion_exclusion(
     """
     result = SuiteResult("inclusion-exclusion")
     for name, poset in posets:
+        leq = lambda a, b: trusted_leq(poset, a, b)
         for w in all_words(poset, max_w):
-            diagram = build_interval(poset, (), w)
-            for u in diagram.nodes:
+            nodes = build_interval(poset, (), w).nodes
+            for u in nodes:
                 if u == w:
                     continue
-                sub = build_interval(poset, u, w)
-                open_nodes = [v for v in sub.nodes if v not in (u, w)]
+                open_nodes = [v for v in nodes if v not in (u, w) and leq(u, v)]
                 if not open_nodes:
                     continue
-                leq = lambda a, b: trusted_leq(poset, a, b)
                 whole = mobius_hat_chain_count(open_nodes, leq)
                 where = _pair_text(name, poset, u, w)
                 for seed in open_nodes:

@@ -254,6 +254,9 @@ class IntervalDiagram:
     def from_json(cls, poset: FinitePoset, text: str) -> "IntervalDiagram":
         try:
             data = json.loads(text)
+            texts = (*data["nodes"], data["bottom"], data["top"])
+            if not all(isinstance(s, str) for s in texts):
+                raise ValueError("nodes, bottom and top must be word strings")
             nodes = [parse_word(poset, s) for s in data["nodes"]]
             ends = [parse_word(poset, data[k]) for k in ("bottom", "top")]
             edges = [tuple(e) for e in data["edges"]]
@@ -272,7 +275,8 @@ class IntervalDiagram:
         # Edges point cover -> covered, so the top renders first.
         lines = ["digraph interval {"]
         for i, v in enumerate(self.nodes):
-            lines.append(f'  n{i} [label="{format_word(self.poset, v)}"];')
+            label = format_word(self.poset, v).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{i} [label="{label}"];')
         for a, b in self.edges:
             lines.append(f"  n{b} -> n{a};")
         lines.append("}")

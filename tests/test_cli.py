@@ -170,14 +170,29 @@ def test_exit_code_resource_cap(capsys):
     assert code == 3 and "cap" in err
 
 
-def test_homotopy_honours_caps(capsys):
+def test_homotopy_parses_caps_but_builds_nothing(capsys):
+    # homotopy reads ranks letter by letter, so no interval cap can trip;
+    # a bad cap value is still an input error.
     argv = ["homotopy", "--poset", "lambda", "--u", "1", "--w", "33333"]
-    code, out, err = run(capsys, *argv, "--max-nodes", "5")
-    assert code == 3 and "5-node cap" in err and out == ""
-    code, _, err = run(capsys, *argv, "--max-word-len", "4")
-    assert code == 3 and "word-length cap 4" in err
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and out.strip() == "wedge of 48 spheres, dim 7"
+    for caps in ([], ["--max-nodes", "5"], ["--max-word-len", "4"]):
+        assert run(capsys, *argv, *caps) == (0, "wedge of 48 spheres, dim 7\n", "")
+    code, out, err = run(capsys, *argv, "--max-nodes", "-5")
+    assert code == 2 and out == "" and "caps must be positive" in err
+
+
+def test_homotopy_of_a_word_past_the_interval_caps(capsys):
+    code, out, _ = run(
+        capsys, "homotopy", "--poset", "lambda", "--u", "1", "--w", "3333333333333"
+    )
+    assert code == 0 and out == "wedge of 28672 spheres, dim 23\n"
+
+
+def test_non_utf8_poset_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "poset.json"
+    path.write_bytes(b'{"elements": ["\xff"], "covers": []}')
+    code, out, err = run(capsys, "mobius", "--poset", str(path), "--u", "", "--w", "")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: poset file {str(path)!r} is not UTF-8 text")
 
 
 @pytest.mark.parametrize("command", ["interval", "mobius", "homotopy"])

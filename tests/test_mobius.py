@@ -32,6 +32,7 @@ from subword import (
 )
 from subword import mobius as mobius_module
 from subword.poset import random_poset
+from subword.verify import all_words
 
 
 def emb(poset, text):
@@ -249,6 +250,24 @@ def test_rank_word(lam):
     assert rank_word(lam, ()) == 0
 
 
+def rank_by_build(poset, w):
+    """Reference rank: the longest chain of the built interval [empty, w]."""
+    diagram = build_interval(poset, (), w)
+    return diagram.ranks[diagram.index[tuple(w)]]
+
+
+def test_rank_word_matches_interval_build():
+    cases = [(builtin_poset(name), 2 if name == "fig3" else 3)
+             for name in ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")]
+    cases += [(random_poset(seed, 6), 3) for seed in range(100)]
+    checked = 0
+    for poset, max_len in cases:
+        for w in all_words(poset, max_len):
+            assert rank_word(poset, w) == rank_by_build(poset, w), (poset, w)
+            checked += 1
+    assert checked == 8561
+
+
 def test_homotopy_type(lam):
     report = homotopy_type(lam, parse_word(lam, "11"), parse_word(lam, "333"))
     assert (report.sphere_count, report.dimension) == (5, 2)
@@ -257,6 +276,16 @@ def test_homotopy_type(lam):
     a2 = builtin_poset("antichain:2")
     rep = homotopy_type(a2, parse_word(a2, "1"), parse_word(a2, "121"))
     assert rep.dimension == 0
+
+
+def test_homotopy_type_builds_no_interval(lam, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("homotopy_type built an interval")
+
+    monkeypatch.setattr(mobius_module, "build_interval", refuse)
+    report = homotopy_type(lam, parse_word(lam, "1"), (2,) * 13)
+    assert report.describe() == "wedge of 28672 spheres, dim 23"
+    assert (report.rank_w, report.rank_u) == (26, 1)
 
 
 def test_homotopy_type_errors(lam):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from subword import (
     DomainError,
+    FinitePoset,
     InputError,
     IntervalDiagram,
     ResourceLimitError,
@@ -191,6 +192,9 @@ def test_export_json_round_trip(lam):
         {"ranks": [0]},  # fewer ranks than nodes
         {"ranks": [0, 1, 2]},  # more ranks than nodes
         {"top": "33"},  # top that is not a node
+        {"nodes": [1, "3"]},  # node that is not a string
+        {"bottom": 1},  # bottom that is not a string
+        {"top": None},  # top that is not a string
     ],
 )
 def test_from_json_rejects_inconsistent_diagram(lam, change):
@@ -212,6 +216,12 @@ def test_export_dot(lam):
     assert f"n{i31} -> n{i3};" in dot
     with pytest.raises(InputError):
         d.export("svg")
+
+
+def test_export_dot_escapes_labels():
+    poset = FinitePoset(['a"b', "c\\d"], [])
+    dot = build_interval(poset, (), (0, 1)).export_dot()
+    assert '  n3 [label="a\\"b,c\\\\d"];' in dot.splitlines()
 
 
 def test_ranks_in_diagram(lam):
