@@ -16,6 +16,13 @@ Two skipped-interval tests coexist:
   generating only chains whose label sequences strictly decrease (no other
   chain can be critical), this keeps large sweeps feasible.
 
+The direct test of (i, j) reads only C's first j + 2 words, so the MSI scan
+is carried along a chain one step at a time: a step tests the new last index
+only for the starts i not yet closed, and :meth:`MorseEngine.msis_direct` is
+the fold of that step, while :meth:`MorseEngine.mobius_morse_below` carries
+it along the walk from parent prefix to child.  The J-intervals then come
+from one left-to-right pass over the MSIs (:func:`j_construction`).
+
 P0 (P with a bottom 0 adjoined) is the one-letter slice of subword order: the
 P0 interval [x, y] is the interval [(x), (y)] of words, or [empty, (y)] when
 x = 0, with the same covers and the same label keys (all at position 1, and
@@ -95,32 +102,24 @@ class MsiDecomposition(NamedTuple):
         return -1 if self.critical_dimension % 2 else 1
 
 
-def _contains(outer: IndexInterval, inner: IndexInterval) -> bool:
-    return outer[0] <= inner[0] and inner[1] <= outer[1]
-
-
 def j_construction(
     msis: Sequence[IndexInterval], open_lo: int, open_hi: int
 ) -> tuple[tuple[IndexInterval, ...], bool]:
-    """Disjointify MSIs into J-intervals; report whether they cover the open chain."""
-    current = sorted(set(msis))
-    lefts = [iv[0] for iv in current]
-    assert len(lefts) == len(set(lefts)), "MSI left endpoints must be distinct"
+    """Disjointify MSIs into J-intervals; report whether they cover the open chain.
+
+    Minimal intervals sorted by left end have increasing right ends, so one
+    pass does the clip-and-minimise loop: after a J ending at r, the next MSI
+    still in play is the next J, clipped to start at r + 1, and every later
+    MSI starting at or before r + 1 drops out (clipped, it would contain J).
+    """
     js: list[IndexInterval] = []
-    while current:
-        j = current[0]
-        js.append(j)
-        clipped = []
-        for lo, hi in current[1:]:
-            lo2 = max(lo, j[1] + 1)
-            if lo2 <= hi:
-                clipped.append((lo2, hi))
-        current = _minimal_intervals(clipped)
-    covered: set[int] = set()
-    for lo, hi in js:
-        covered.update(range(lo, hi + 1))
-    is_critical = covered == set(range(open_lo, open_hi + 1))
-    return tuple(js), is_critical
+    drop = clip = -1  # below every index
+    for lo, hi in sorted(set(msis)):
+        if lo > drop:
+            js.append((max(lo, clip), hi))
+            drop, clip = clip, hi + 1
+    covered = sum(hi - lo + 1 for lo, hi in js)
+    return tuple(js), covered == len(range(open_lo, open_hi + 1))
 
 
 class ChainContext:
@@ -287,7 +286,7 @@ class MorseEngine:
             last = self.label_key(labels[-1]) if labels else None
             for label, eta in self.cover_moves(etas[-1]):
                 if last is not None and self.label_key(label) >= last:
-                    continue
+                    break  # the moves come sorted by label key
                 v = restrict(eta)
                 if u is not None and not trusted_leq(self.poset, u, v):
                     continue
@@ -344,6 +343,7 @@ class MorseEngine:
         From there the PLO-minimum one takes, at each step, the first move
         that stays above words[j+1]; C's own move always does, so it leaves C
         only for a smaller label, and below words[j+1] it is forced again.
+        So the test reads only C's first j + 2 words.
         """
         i, j = interval
         lo, hi = chain.open_range()
@@ -359,25 +359,32 @@ class MorseEngine:
                     return True
         return False
 
-    def msis_direct(self, chain: LabeledChain) -> list[IndexInterval]:
-        """MSIs of chain with O(L) SI tests.
-
-        SIs stay skipped when enlarged, so the least skipped end f(i) of an
-        interval starting at i never decreases with i, and (i, f(i)) is
-        minimal exactly when f(i) < f(i+1).
+    def _carry_msi_scan(self, chain: LabeledChain, ends: list[int], hi: int) -> list[int]:
+        """One step of the MSI scan: from C's prefix through words[hi] to the
+        one through words[hi + 1].  ends[i - 1] is the least skipped end f(i)
+        on the shorter prefix, or hi if there is none yet.  Only the open i
+        are tested, a suffix as f never decreases; SIs stay skipped when
+        enlarged to the left, so (i, hi) is skipped on a prefix of that suffix.
         """
-        lo, hi = chain.open_range()
+        out = ends + [hi]
+        i = hi
+        while i > 1 and out[i - 2] == hi:
+            i -= 1
+        while i <= hi and self.is_si(chain, (i, hi)):
+            i += 1
+        out[i - 1 :] = [hi + 1] * (hi + 1 - i)
+        return out
+
+    def msis_direct(self, chain: LabeledChain) -> list[IndexInterval]:
+        """MSIs of chain: the carried scan folded over its prefixes.
+
+        Each step tests the new end once for every i it closes and once more
+        where it stops, so the fold takes O(L) SI tests.
+        """
         ends: list[int] = []
-        j = lo
-        for i in range(lo, hi + 1):
-            j = max(j, i)
-            while j <= hi and not self.is_si(chain, (i, j)):
-                j += 1
-            ends.append(j)
-        ends.append(hi + 1)
-        return [
-            (i, f) for i, f, g in zip(range(lo, hi + 1), ends, ends[1:]) if f < g
-        ]
+        for hi in range(1, len(chain.words) - 1):
+            ends = self._carry_msi_scan(chain, ends, hi)
+        return _msis_of_scan(ends)
 
     def decomposition_direct(self, chain: LabeledChain) -> MsiDecomposition:
         return self._decompose(chain, self.msis_direct(chain))
@@ -414,13 +421,19 @@ class MorseEngine:
         return check_i64(total, "mobius_morse")
 
     def mobius_morse_below(self, w: Word) -> dict[Word, int]:
-        """mu(u, w) for every u <= w via the Morse sum, one traversal of w."""
+        """mu(u, w) for every u <= w via the Morse sum, one traversal of w;
+        each prefix's MSI scan is its parent's, carried one step."""
         w = check_word(self.poset, w)
         table: dict[Word, int] = {}
+        scans: list[list[int]] = [[]]  # scans[k]: the current prefix with k open positions
         for chain in self._lex_decreasing_chains(w, None):
-            dec = self.decomposition_direct(chain)
-            if dec.is_critical:
-                total = table.get(chain.bottom, 0) + dec.sign()
+            hi = len(chain.words) - 2
+            if hi:
+                del scans[hi:]
+                scans.append(self._carry_msi_scan(chain, scans[-1], hi))
+            js, critical = j_construction(_msis_of_scan(scans[hi]), 1, hi)
+            if critical:  # of dimension len(js) - 1
+                total = table.get(chain.bottom, 0) + (1 if len(js) % 2 else -1)
                 table[chain.bottom] = check_i64(total, "mobius_morse_below")
         for u in interval_covers(self.poset, (), w, DEFAULT_MAX_NODES):
             table.setdefault(u, 0)
@@ -472,11 +485,18 @@ class MorseEngine:
         return sis == [full] if rightmost else all(si == full for si in sis)
 
 
+def _msis_of_scan(ends: list[int]) -> list[IndexInterval]:
+    """The minimal (i, f(i)) of a carried scan: those with f(i) < f(i + 1),
+    where f(hi + 1) = hi + 1 bounds the open i."""
+    after = ends[1:] + [len(ends) + 1]
+    return [(i, f) for i, (f, g) in enumerate(zip(ends, after), 1) if f < g]
+
+
 def _minimal_intervals(intervals: Sequence[IndexInterval]) -> list[IndexInterval]:
     uniq = sorted(set(intervals))
     return [
         iv
         for iv in uniq
-        if not any(o != iv and _contains(iv, o) for o in uniq)
+        if not any(o != iv and iv[0] <= o[0] and o[1] <= iv[1] for o in uniq)
     ]
 

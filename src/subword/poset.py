@@ -43,6 +43,9 @@ class FinitePoset:
         self.names = tuple(str(x) for x in names)
         if len(set(self.names)) != len(self.names):
             raise InputError("duplicate element names")
+        for nm in self.names:  # words join names with ","; "", "-" and "∅" spell ()
+            if nm in ("", "-", "∅") or "," in nm or nm != nm.strip():
+                raise InputError(f"element name {nm!r} cannot be written in a word")
         self.n = len(self.names)
         cov = set()
         for a, b in covers:

@@ -2,13 +2,14 @@
 Morse agreement, Chebyshev coefficients and structural lemma checks.
 
 Each suite returns a :class:`SuiteResult`; failures carry a printable
-counterexample so callers can name the offending instance.
+counterexample so callers can name the offending instance; the suites build
+its text only when the check fails.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .chebyshev import chebyshev_T, chebyshev_T_closed, verify_chebyshev
 from .errors import InputError
@@ -18,7 +19,7 @@ from .mobius import (
     mobius_forest,
     mobius_main,
 )
-from .morse import MorseEngine
+from .morse import MorseEngine, j_construction
 from .poset import (
     DEFAULT_POSET_SPEC,
     ZERO,
@@ -27,7 +28,7 @@ from .poset import (
     mobius_hat_chain_count,
     random_poset,
 )
-from .words import Word, build_interval, format_word, trusted_leq
+from .words import Word, build_interval, format_word
 
 
 class SuiteResult:
@@ -42,10 +43,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, counterexample: str) -> None:
+    def record(self, ok: bool, counterexample: str | Callable[[], str]) -> None:
+        """Count a check; on failure keep its counterexample, called if callable."""
         self.checks += 1
         if not ok:
-            self.failures.append(counterexample)
+            self.failures.append(counterexample() if callable(counterexample) else counterexample)
 
 
 def resolve_posets(spec: str) -> list[tuple[str, FinitePoset]]:
@@ -92,7 +94,7 @@ def run_oracle_equivalence(
                 got = mobius_main(poset, u, w).value
                 result.record(
                     got == mu,
-                    f"{_pair_text(name, poset, u, w)}: formula {got} != oracle {mu}",
+                    lambda: f"{_pair_text(name, poset, u, w)}: formula {got} != oracle {mu}",
                 )
     return result
 
@@ -109,7 +111,7 @@ def run_morse_agreement(
                 got = mobius_main(poset, u, w).value
                 result.record(
                     got == mu,
-                    f"{_pair_text(name, poset, u, w)}: formula {got} != morse {mu}",
+                    lambda: f"{_pair_text(name, poset, u, w)}: formula {got} != morse {mu}",
                 )
     return result
 
@@ -131,13 +133,13 @@ def run_specializations(
                     got = mobius_bjorner(poset, u, w)
                     result.record(
                         got == expect,
-                        f"{_pair_text(name, poset, u, w)}: antichain {got} != {expect}",
+                        lambda: f"{_pair_text(name, poset, u, w)}: antichain {got} != {expect}",
                     )
                 if forest:
                     got = mobius_forest(poset, u, w)
                     result.record(
                         got == expect,
-                        f"{_pair_text(name, poset, u, w)}: forest {got} != {expect}",
+                        lambda: f"{_pair_text(name, poset, u, w)}: forest {got} != {expect}",
                     )
     return result
 
@@ -151,12 +153,12 @@ def run_chebyshev(max_j: int = 5, s_values: tuple[int, ...] = (1, 2, 3)) -> Suit
                 check = verify_chebyshev(i, j, s)
                 result.record(
                     check.equal,
-                    f"s={s} (i,j)=({i},{j}): mu {check.mu} != coeff {check.coeff}",
+                    lambda: f"s={s} (i,j)=({i},{j}): mu {check.mu} != coeff {check.coeff}",
                 )
     for n in range(11):
         result.record(
             chebyshev_T(n) == chebyshev_T_closed(n),
-            f"T_{n}: recurrence and closed form differ",
+            lambda: f"T_{n}: recurrence and closed form differ",
         )
     return result
 
@@ -178,17 +180,16 @@ def run_lemmas(
             for u in build_interval(poset, (), w).nodes:
                 if u == w:
                     continue
-                where = _pair_text(name, poset, u, w)
+                where = lambda: _pair_text(name, poset, u, w)
                 context = engine.all_chains(u, w)
-                critical = {
-                    dec.chain: dec for dec in engine.critical_chains(u, w)
-                }
+                critical = dict.fromkeys(dec.chain for dec in engine.critical_chains(u, w))
+                brute_critical = set()
                 for chain in context.chains:
                     brute = tuple(engine.msis(chain, context))
                     fast = tuple(engine.msis_direct(chain))
                     result.record(
                         brute == fast,
-                        f"{where} chain {chain.describe()}: MSI sets differ "
+                        lambda: f"{where()} chain {chain.describe()}: MSI sets differ "
                         f"(brute {brute}, fast {fast})",
                     )
                     lo, hi = chain.open_range()
@@ -197,7 +198,7 @@ def run_lemmas(
                         if keys[k][0] < keys[k - 1][0]:  # 1-descent at k
                             result.record(
                                 (k, k) in brute,
-                                f"{where} chain {chain.describe()}: 1-descent at "
+                                lambda: f"{where()} chain {chain.describe()}: 1-descent at "
                                 f"{k} is not a singleton MSI",
                             )
                     for a, b in brute:
@@ -206,28 +207,28 @@ def run_lemmas(
                         )
                         result.record(
                             ascent_free,
-                            f"{where} chain {chain.describe()}: MSI ({a},{b}) "
+                            lambda: f"{where()} chain {chain.describe()}: MSI ({a},{b}) "
                             "contains an ascent",
                         )
-                    dec = engine.decomposition(chain, context)
-                    if dec.is_critical:
+                    if j_construction(brute, lo, hi)[1]:  # critical by brute force
+                        brute_critical.add(chain)
                         strictly_decreasing = all(
                             keys[k] < keys[k - 1] for k in range(1, len(keys))
                         )
                         result.record(
                             strictly_decreasing,
-                            f"{where} critical chain {chain.describe()}: labels "
+                            lambda: f"{where()} critical chain {chain.describe()}: labels "
                             "are not strictly decreasing",
                         )
                         result.record(
                             chain in critical,
-                            f"{where} chain {chain.describe()}: critical by brute "
+                            lambda: f"{where()} chain {chain.describe()}: critical by brute "
                             "force but missed by the fast path",
                         )
                 for chain in critical:
                     result.record(
-                        engine.decomposition(chain, context).is_critical,
-                        f"{where} chain {chain.describe()}: critical by the fast "
+                        chain in brute_critical,
+                        lambda: f"{where()} chain {chain.describe()}: critical by the fast "
                         "path but not by brute force",
                     )
     return result
@@ -247,28 +248,28 @@ def run_product_lemma(posets: Iterable[tuple[str, FinitePoset]]) -> SuiteResult:
                 if b not in poset.above[a]:
                     continue
                 w = (a, b)
-                where = f"{name} a={poset.names[a]} b={poset.names[b]}"
+                where = lambda: f"{name} a={poset.names[a]} b={poset.names[b]}"
                 left = engine.per_embedding_mu((ZERO, a), w)
                 product = poset.mu0(ZERO, a) * poset.mu0(a, b)
                 result.record(
                     left == product,
-                    f"{where}: 0a contribution {left} != product {product}",
+                    lambda: f"{where()}: 0a contribution {left} != product {product}",
                 )
                 via_subposet = mobius_embedding_subposet(poset, (ZERO, a), w)
                 result.record(
                     via_subposet == product,
-                    f"{where}: [0a,ab] subposet mu {via_subposet} != {product}",
+                    lambda: f"{where()}: [0a,ab] subposet mu {via_subposet} != {product}",
                 )
                 right = engine.per_embedding_mu((a, ZERO), w)
                 corollary = poset.mu0(ZERO, b) + (1 if a == b else 0)
                 result.record(
                     right == corollary,
-                    f"{where}: a0 contribution {right} != {corollary}",
+                    lambda: f"{where()}: a0 contribution {right} != {corollary}",
                 )
                 total = mobius_main(poset, (a,), w).value
                 result.record(
                     left + right == total,
-                    f"{where}: contributions {left}+{right} != mu(a,ab) {total}",
+                    lambda: f"{where()}: contributions {left}+{right} != mu(a,ab) {total}",
                 )
     return result
 
@@ -280,27 +281,26 @@ def run_inclusion_exclusion(
     ideals U, V of an open interval Q with U union V = Q.
 
     U ranges over up-closures of single nodes; V is the up-closure of Q - U.
-    All four values come from the alternating chain-count expression.
+    All four values come from the alternating chain-count expression, which
+    reads <= from the up-sets of the [empty, w] diagram.
     """
     result = SuiteResult("inclusion-exclusion")
     for name, poset in posets:
-        leq = lambda a, b: trusted_leq(poset, a, b)
         for w in all_words(poset, max_w):
-            nodes = build_interval(poset, (), w).nodes
-            for u in nodes:
-                if u == w:
+            diagram = build_interval(poset, (), w)
+            nodes, top, up = diagram.nodes, diagram.index[w], diagram.up_sets()
+            leq = lambda a, b: b in up[a]
+            for iu, u in enumerate(nodes):
+                if iu == top:
                     continue
-                open_nodes = [v for v in nodes if v not in (u, w) and leq(u, v)]
+                open_nodes = sorted(up[iu] - {iu, top})
                 if not open_nodes:
                     continue
                 whole = mobius_hat_chain_count(open_nodes, leq)
-                where = _pair_text(name, poset, u, w)
                 for seed in open_nodes:
-                    upper = [v for v in open_nodes if leq(seed, v)]
-                    rest = [v for v in open_nodes if v not in upper]
-                    v_ideal = sorted(
-                        {v for r in rest for v in open_nodes if leq(r, v)}
-                    )
+                    upper = [v for v in open_nodes if v in up[seed]]
+                    rest = [v for v in open_nodes if v not in up[seed]]
+                    v_ideal = set().union(*(up[r] for r in rest)) - {top}
                     both = [v for v in upper if v in v_ideal]
                     got = (
                         mobius_hat_chain_count(upper, leq)
@@ -309,7 +309,8 @@ def run_inclusion_exclusion(
                     )
                     result.record(
                         got == whole,
-                        f"{where} seed {format_word(poset, seed)}: "
+                        lambda: f"{_pair_text(name, poset, u, w)} seed "
+                        f"{format_word(poset, nodes[seed])}: "
                         f"inclusion-exclusion {got} != {whole}",
                     )
     return result

@@ -206,6 +206,13 @@ class IntervalDiagram:
         descend(acc[0])
         return out
 
+    def up_sets(self) -> list[set[int]]:
+        """The indices of the nodes at or above each node, from the top down."""
+        up: list[set[int]] = [set() for _ in self.nodes]
+        for i in reversed(self._topo_from_bottom()):
+            up[i] = {i}.union(*(up[j] for j in self._covers_up[i]))
+        return up
+
     def mobius_bottom_to(self) -> dict[Word, int]:
         """mu(bottom, v) for every node v, by the classical recursion."""
         return self._mobius_along(self._topo_from_bottom(), self._covers_down)
@@ -262,10 +269,12 @@ class IntervalDiagram:
             edges = [tuple(e) for e in data["edges"]]
             if len(data["ranks"]) != len(nodes):
                 raise ValueError(f"{len(data['ranks'])} ranks for {len(nodes)} nodes")
+            if not all(type(r) is int for r in data["ranks"]):  # not bool, not float
+                raise ValueError(f"ranks {data['ranks']} are not all integers")
             if any(v not in nodes for v in ends):
                 raise ValueError("bottom and top must be nodes")
             for e in edges:
-                if len(e) != 2 or not all(0 <= i < len(nodes) for i in e):
+                if len(e) != 2 or not all(type(i) is int and 0 <= i < len(nodes) for i in e):
                     raise ValueError(f"edge {list(e)} is not a pair of node indices")
             return cls(poset, *ends, nodes, edges, data["ranks"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -318,7 +327,7 @@ def interval_covers(
         lower = below[v]
         for j, y in lower_covers(poset, v):
             z = v[:j] + v[j + 1 :] if y == ZERO else v[:j] + (y,) + v[j + 1 :]
-            if not trusted_leq(poset, u, z):
+            if u and not trusted_leq(poset, u, z):  # every word is >= ()
                 continue
             lower.append(z)
             if z not in below:

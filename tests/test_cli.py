@@ -195,6 +195,14 @@ def test_non_utf8_poset_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith(f"error: poset file {str(path)!r} is not UTF-8 text")
 
 
+def test_poset_file_with_an_unspellable_name_exits_2(capsys, tmp_path):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"elements": ["a,b", "c"], "covers": []}), encoding="utf-8")
+    code, out, err = run(capsys, "mobius", "--poset", str(path), "--u", "", "--w", "c")
+    assert code == 2 and out == ""
+    assert err.startswith("error: element name 'a,b' cannot be written in a word")
+
+
 @pytest.mark.parametrize("command", ["interval", "mobius", "homotopy"])
 def test_negative_word_length_cap_rejected(capsys, command):
     code, out, err = run(

@@ -20,7 +20,7 @@ from subword import (
 from subword.morse import MorseEngine, _minimal_intervals, j_construction
 from subword.poset import all_linear_extensions, random_poset
 from subword.verify import all_words
-from subword.words import trusted_leq
+from subword.words import interval_covers, trusted_leq
 
 CHAIN3 = builtin_poset("chain:3")
 BUILTINS = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
@@ -292,6 +292,52 @@ def all_pairs_msis(eng, chain):
     )
 
 
+def two_pointer_msis(eng, chain):
+    """Reference MSIs: the two-pointer scan over the whole chain.  The least
+    skipped end f(i) never decreases with i, and (i, f(i)) is minimal exactly
+    when f(i) < f(i+1)."""
+    lo, hi = chain.open_range()
+    ends = []
+    j = lo
+    for i in range(lo, hi + 1):
+        j = max(j, i)
+        while j <= hi and not eng.is_si(chain, (i, j)):
+            j += 1
+        ends.append(j)
+    ends.append(hi + 1)
+    return [(i, f) for i, f, g in zip(range(lo, hi + 1), ends, ends[1:]) if f < g]
+
+
+def clip_and_minimise(msis, open_lo, open_hi):
+    """Reference J-construction: take the first interval, clip the rest to
+    start after it, keep the minimal remnants, repeat."""
+    current = sorted(set(msis))
+    js = []
+    while current:
+        j = current[0]
+        js.append(j)
+        clipped = [(max(lo, j[1] + 1), hi) for lo, hi in current[1:]]
+        current = _minimal_intervals([(lo, hi) for lo, hi in clipped if lo <= hi])
+    covered = set()
+    for lo, hi in js:
+        covered.update(range(lo, hi + 1))
+    return tuple(js), covered == set(range(open_lo, open_hi + 1))
+
+
+def per_prefix_morse_below(eng, w, prefix_msis):
+    """Reference mu(., w) table: the walk with the J-construction of the
+    clip-and-minimise loop on every prefix's MSIs, given in walk order."""
+    table = {}
+    for chain, msis in zip(eng._lex_decreasing_chains(w, None), prefix_msis):
+        js, critical = clip_and_minimise(msis, *chain.open_range())
+        if critical:
+            table[chain.bottom] = table.get(chain.bottom, 0) + (-1) ** (len(js) - 1)
+    for u in interval_covers(eng.poset, (), w, 10**6):
+        table.setdefault(u, 0)
+    table[w] = 1
+    return table
+
+
 def test_two_pointer_msis_match_all_pairs_scan(lam, fig3):
     eng = MorseEngine(lam)
     chains = [(eng, c) for c in eng._lex_decreasing_chains(parse_word(lam, "33333"), None)]
@@ -305,8 +351,54 @@ def test_two_pointer_msis_match_all_pairs_scan(lam, fig3):
             (eng, c) for w in all_words(poset, max_w) for c in eng._lex_decreasing_chains(w, None)
         ]
     for eng, chain in chains:
-        assert eng.msis_direct(chain) == all_pairs_msis(eng, chain)
+        expected = all_pairs_msis(eng, chain)
+        assert two_pointer_msis(eng, chain) == expected
+        assert eng.msis_direct(chain) == expected
     assert len(chains) == 5652
+
+
+def test_carried_scan_matches_per_prefix_references():
+    # the carried MSI scan and the one-pass J-intervals give the tables and
+    # MSIs of a fresh scan and the clip-and-minimise loop on every prefix
+    posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(50)]
+    prefixes = 0
+    for poset in posets:
+        eng = MorseEngine(poset)
+        for w in all_words(poset, 2 if poset.n > 5 else 3):
+            reference = []
+            for chain in eng._lex_decreasing_chains(w, None):
+                reference.append(two_pointer_msis(eng, chain))
+                assert eng.msis_direct(chain) == reference[-1]
+            table = per_prefix_morse_below(eng, w, reference)
+            assert list(eng.mobius_morse_below(w).items()) == list(table.items())
+            prefixes += len(reference)
+    assert prefixes == 70716
+
+
+def minimal_interval_sets(n):
+    """Every set of pairwise non-nested intervals of 1..n: strictly
+    increasing left and right ends."""
+    out = []
+
+    def extend(acc, last_lo, last_hi):
+        out.append(tuple(acc))
+        for lo in range(last_lo + 1, n + 1):
+            for hi in range(max(lo, last_hi + 1), n + 1):
+                acc.append((lo, hi))
+                extend(acc, lo, hi)
+                acc.pop()
+
+    extend([], 0, 0)
+    return out
+
+
+def test_j_construction_matches_clip_and_minimise():
+    checked = 0
+    for n in range(8):
+        for msis in minimal_interval_sets(n):
+            assert j_construction(msis, 1, n) == clip_and_minimise(msis, 1, n)
+            checked += 1
+    assert checked == 2055
 
 
 def test_j_construction():
@@ -317,6 +409,9 @@ def test_j_construction():
     assert js == ((1, 1), (2, 3)) and not crit
     js, crit = j_construction([], 1, 0)
     assert js == () and crit  # empty open chain
+    # (2,3) clipped to (3,3) drops (3,4), whose remnant would contain it
+    js, crit = j_construction([(1, 2), (2, 3), (3, 4)], 1, 4)
+    assert js == ((1, 2), (3, 3)) and not crit
 
 
 def test_critical_chains_fig3(fig3):

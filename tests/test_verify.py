@@ -1,7 +1,12 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 import subword.verify as verify
 from subword import InputError
+from subword.morse import MorseEngine
 from subword.verify import (
     SuiteResult,
     all_words,
@@ -11,9 +16,12 @@ from subword.verify import (
     run_lemmas,
     run_morse_agreement,
     run_oracle_equivalence,
+    run_all,
     run_product_lemma,
     run_specializations,
 )
+
+VERIFY_COUNTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_counts.json"
 
 
 def test_resolve_posets():
@@ -47,6 +55,16 @@ def test_suites_pass_at_small_scale(lam):
         assert result.checks > 0
 
 
+def test_run_all_check_counts_are_pinned():
+    # the per-suite counts `subword verify --posets P --max-w M` prints
+    specs = json.loads(VERIFY_COUNTS.read_text(encoding="utf-8"))
+    assert len(specs) == 12
+    for spec in specs:
+        results = run_all(spec["posets"], spec["max_w"])
+        assert {r.name: r.checks for r in results} == spec["checks"], spec["posets"]
+        assert all(r.passed for r in results), spec["posets"]
+
+
 def test_injected_fault_is_named(lam, monkeypatch):
     # a flipped sign must surface as a counterexample naming the interval
     real = verify.mobius_main
@@ -60,8 +78,59 @@ def test_injected_fault_is_named(lam, monkeypatch):
 
     monkeypatch.setattr(verify, "mobius_main", flipped)
     result = run_oracle_equivalence([("lambda", lam)], 1)
-    assert not result.passed
-    assert any("[∅, ∅]" in f or "lambda" in f for f in result.failures)
+    assert result.checks == 9
+    assert result.failures == [
+        'lambda [∅, ∅]: formula -1 != oracle 1',
+        'lambda [∅, 1]: formula 1 != oracle -1',
+        'lambda [1, 1]: formula -1 != oracle 1',
+        'lambda [∅, 2]: formula 1 != oracle -1',
+        'lambda [2, 2]: formula -1 != oracle 1',
+        'lambda [∅, 3]: formula -1 != oracle 1',
+        'lambda [1, 3]: formula 1 != oracle -1',
+        'lambda [2, 3]: formula 1 != oracle -1',
+        'lambda [3, 3]: formula -1 != oracle 1',
+    ]
+
+
+LEMMA_FAULT_FIRST_FAILURES = [
+    'lambda [∅, 3] chain 3 > 2 > ∅  [<1,2>, <1,0>]: MSI sets differ (brute (), fast ((1, 1),))',
+    'lambda [∅, 3] chain 3 > 2 > ∅  [<1,2>, <1,0>]: critical by the fast path but not by brute force',
+    'lambda [∅, 12] chain 12 > 1 > ∅  [<2,0>, <1,0>]: MSI sets differ (brute (), fast ((1, 1),))',
+    'lambda [∅, 12] chain 12 > 1 > ∅  [<2,0>, <1,0>]: 1-descent at 1 is not a singleton MSI',
+    'lambda [∅, 12] chain 12 > 1 > ∅  [<2,0>, <1,0>]: critical by the fast path but not by brute force',
+    'lambda [∅, 13] chain 13 > 3 > 2 > ∅  [<1,0>, <2,2>, <2,0>]: MSI sets differ (brute ((1, 2),), fast ((2, 2),))',
+    'lambda [∅, 13] chain 13 > 3 > 2 > ∅  [<1,0>, <2,2>, <2,0>]: MSI (1,2) contains an ascent',
+    'lambda [∅, 13] critical chain 13 > 3 > 2 > ∅  [<1,0>, <2,2>, <2,0>]: labels are not strictly decreasing',
+    'lambda [∅, 13] chain 13 > 3 > 2 > ∅  [<1,0>, <2,2>, <2,0>]: critical by brute force but missed by the fast path',
+    'lambda [∅, 13] chain 13 > 11 > 1 > ∅  [<2,1>, <1,0>, <2,0>]: MSI sets differ (brute ((1, 2),), fast ((1, 1),))',
+    'lambda [∅, 13] chain 13 > 11 > 1 > ∅  [<2,1>, <1,0>, <2,0>]: 1-descent at 1 is not a singleton MSI',
+    'lambda [∅, 13] chain 13 > 11 > 1 > ∅  [<2,1>, <1,0>, <2,0>]: MSI (1,2) contains an ascent',
+    'lambda [∅, 13] critical chain 13 > 11 > 1 > ∅  [<2,1>, <1,0>, <2,0>]: labels are not strictly decreasing',
+    'lambda [∅, 13] chain 13 > 11 > 1 > ∅  [<2,1>, <1,0>, <2,0>]: critical by brute force but missed by the fast path',
+    'lambda [∅, 13] chain 13 > 12 > 2 > ∅  [<2,2>, <1,0>, <2,0>]: MSI sets differ (brute ((1, 2),), fast ((1, 1),))',
+    'lambda [∅, 13] chain 13 > 12 > 2 > ∅  [<2,2>, <1,0>, <2,0>]: 1-descent at 1 is not a singleton MSI',
+    'lambda [∅, 13] chain 13 > 12 > 2 > ∅  [<2,2>, <1,0>, <2,0>]: MSI (1,2) contains an ascent',
+    'lambda [∅, 13] critical chain 13 > 12 > 2 > ∅  [<2,2>, <1,0>, <2,0>]: labels are not strictly decreasing',
+    'lambda [∅, 13] chain 13 > 12 > 2 > ∅  [<2,2>, <1,0>, <2,0>]: critical by brute force but missed by the fast path',
+    'lambda [∅, 13] chain 13 > 12 > 1 > ∅  [<2,2>, <2,0>, <1,0>]: MSI sets differ (brute ((1, 2),), fast ((1, 1), (2, 2)))',
+    'lambda [∅, 13] chain 13 > 12 > 1 > ∅  [<2,2>, <2,0>, <1,0>]: 1-descent at 2 is not a singleton MSI',
+]
+
+
+def test_injected_lemma_fault_is_named(lam, monkeypatch):
+    # brute-force SIs that lose every singleton: each kind of lemma
+    # counterexample names its interval, chain and loop position
+    real = MorseEngine.skipped_intervals
+
+    def no_singletons(self, chain, context):
+        return [(i, j) for i, j in real(self, chain, context) if i != j]
+
+    monkeypatch.setattr(MorseEngine, "skipped_intervals", no_singletons)
+    result = run_lemmas([("lambda", lam)], 2)
+    assert result.checks == 462 and len(result.failures) == 263
+    assert result.failures[:21] == LEMMA_FAULT_FIRST_FAILURES
+    digest = hashlib.sha256("\n".join(result.failures).encode()).hexdigest()
+    assert digest == "2ec8dab990c96b13c915cebad49837366f8d8f056df7bc3a02378c21c491042b"
 
 
 def test_suite_result_record():

@@ -23,6 +23,8 @@ from subword import (
     rightmost_embedding,
     runs,
 )
+from subword.poset import random_poset
+from subword.verify import all_words
 
 CHAIN3 = builtin_poset("chain:3")
 
@@ -42,6 +44,25 @@ def test_parse_multichar_names():
     poset = builtin_poset("chain:12")
     assert parse_word(poset, "10,2,3") == (9, 1, 2)
     assert format_word(poset, (9, 1, 2)) == "10,2,3"
+
+
+def test_format_word_round_trips():
+    # every word |w| <= 3 over the default built-ins, small random posets and
+    # a poset with two-character names
+    posets = [builtin_poset(n) for n in ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")]
+    checked = 0
+    for poset in posets + [random_poset(s) for s in range(10)] + [builtin_poset("chain:12")]:
+        for w in all_words(poset, 3):
+            assert parse_word(poset, format_word(poset, w)) == w
+            checked += 1
+    assert checked == 3496
+
+
+@pytest.mark.parametrize("name", ["", "-", "∅", "a,b", " a", "a ", "\tb"])
+def test_names_that_words_cannot_spell_are_rejected(name):
+    # for elements "a,b" and "c", format_word gave "a,b,c", which parse_word rejects
+    with pytest.raises(InputError, match="cannot be written in a word"):
+        FinitePoset([name, "c"], [])
 
 
 def test_is_leq_words_chain():
@@ -195,6 +216,9 @@ def test_export_json_round_trip(lam):
         {"nodes": [1, "3"]},  # node that is not a string
         {"bottom": 1},  # bottom that is not a string
         {"top": None},  # top that is not a string
+        {"edges": [[0.7, 1]]},  # edge index that is not an integer
+        {"edges": [[0, True]]},  # edge index that is a boolean
+        {"ranks": ["0", 1]},  # rank that is not an integer
     ],
 )
 def test_from_json_rejects_inconsistent_diagram(lam, change):
@@ -222,6 +246,13 @@ def test_export_dot_escapes_labels():
     poset = FinitePoset(['a"b', "c\\d"], [])
     dot = build_interval(poset, (), (0, 1)).export_dot()
     assert '  n3 [label="a\\"b,c\\\\d"];' in dot.splitlines()
+
+
+def test_up_sets_match_subword_order(lam):
+    d = build_interval(lam, parse_word(lam, "1"), parse_word(lam, "333"))
+    up = d.up_sets()
+    for i, a in enumerate(d.nodes):
+        assert up[i] == {j for j, b in enumerate(d.nodes) if is_leq_words(lam, a, b)}
 
 
 def test_ranks_in_diagram(lam):
