@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, IntegerOverflowError
-from .mobius import mobius_main, mobius_oracle
+from .mobius import mobius_main
 from .poset import builtin_poset
 
 
@@ -115,22 +115,14 @@ def mobius_closed_form(i: int, j: int) -> int:
     return _as_int(value, f"mobius_closed_form({i},{j})")
 
 
-def verify_chebyshev(i: int, j: int, s: int = 2, use_oracle: bool = False) -> ChebyshevCheck:
+def verify_chebyshev(i: int, j: int, s: int = 2) -> ChebyshevCheck:
     """Compare mu(1^i, top^j) over the s-antichain-plus-top poset with the
     x^(j-i) coefficient of the degree-(i+j) generalized Chebyshev polynomial."""
     if not 0 <= i <= j:
         raise DomainError("verify_chebyshev requires 0 <= i <= j")
     if s < 1:
         raise DomainError("verify_chebyshev requires s >= 1")
-    poset = builtin_poset(f"lambda:{s}")
-    bottom_letter = 0  # id of element named "1"
-    top_letter = s  # id of the top element
-    u = (bottom_letter,) * i
-    w = (top_letter,) * j
-    mu = (
-        mobius_oracle(poset, u, w)
-        if use_oracle
-        else mobius_main(poset, u, w).value
-    )
+    # ids: 0 names the element "1", s the top
+    mu = mobius_main(builtin_poset(f"lambda:{s}"), (0,) * i, (s,) * j).value
     coeff = tomie_T(s, i + j).coeff(j - i)
     return ChebyshevCheck(i, j, s, mu, coeff, mu == coeff)

@@ -95,7 +95,7 @@ def _load(args: argparse.Namespace) -> tuple[FinitePoset, Word, Word]:
 
 
 def cmd_mobius(args: argparse.Namespace) -> int:
-    from .mobius import mobius_main, mobius_oracle_from_diagram
+    from .mobius import mobius_main, mobius_oracle
 
     poset, u, w = _load(args)
     max_nodes, _ = _caps(args)
@@ -105,10 +105,9 @@ def cmd_mobius(args: argparse.Namespace) -> int:
         report = mobius_main(poset, u, w)
         values["formula"] = report.value
     if args.method in ("oracle", "all"):
-        diagram = build_interval(
+        values["oracle"] = mobius_oracle(
             poset, u, w, max_nodes=max_nodes, max_word_len=args.max_word_len
         )
-        values["oracle"] = mobius_oracle_from_diagram(diagram)
     if args.method in ("morse", "all"):
         from .morse import MorseEngine
 

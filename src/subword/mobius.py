@@ -25,7 +25,6 @@ from .words import (
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_WORD_LEN,
     Embedding,
-    IntervalDiagram,
     Word,
     build_interval,
     check_word,
@@ -155,10 +154,6 @@ def mobius_oracle(
 ) -> int:
     """Classical Mobius recursion over the explicit interval diagram."""
     diagram = build_interval(poset, u, w, max_nodes=max_nodes, max_word_len=max_word_len)
-    return mobius_oracle_from_diagram(diagram)
-
-
-def mobius_oracle_from_diagram(diagram: IntervalDiagram) -> int:
     return diagram.mobius_bottom_to()[diagram.top]
 
 

@@ -8,10 +8,11 @@ route to the Mobius function sums (-1)^d over critical chains.
 Two skipped-interval tests coexist:
 
 * a brute-force test quantifying over all PLO-earlier chains of the interval
-  (:func:`skipped_intervals`), used by small-scale property tests; and
-* an exact direct test used by :meth:`MorseEngine.critical_chains`: an interval
-  I of C is skipped iff the PLO-minimum maximal chain through C - I precedes
-  C.  That chain is never later than C, so the test is decided where it
+  (:func:`skipped_intervals`), the reference of the verification suites and
+  small-scale property tests; and
+* an exact direct test (:meth:`MorseEngine.is_si`) used everywhere else: an
+  interval I of C is skipped iff the PLO-minimum maximal chain through C - I
+  precedes C.  That chain is never later than C, so the test is decided where it
   first leaves C, and it looks only at C's own steps across I.  Combined with
   generating only chains whose label sequences strictly decrease (no other
   chain can be critical), this keeps large sweeps feasible.
@@ -26,13 +27,15 @@ from one left-to-right pass over the MSIs (:func:`j_construction`).
 P0 (P with a bottom 0 adjoined) is the one-letter slice of subword order: the
 P0 interval [x, y] is the interval [(x), (y)] of words, or [empty, (y)] when
 x = 0, with the same covers and the same label keys (all at position 1, and
-label(0) = 0 both ways).  So the P0 chains that
-:meth:`MorseEngine.classify_single_position_msi` needs come from the word
-machinery on that interval; there is no separate P0 walker.
+label(0) = 0 both ways).  So
+:meth:`MorseEngine.classify_single_position_msi` labels a slot's track as a
+chain of that interval and reads its SIs with the exact test; there is no
+separate P0 walker.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError, check_i64
@@ -233,39 +236,16 @@ class MorseEngine:
         w = check_word(self.poset, w)
         if not trusted_leq(self.poset, u, w):
             raise DomainError("all_chains requires u <= w")
-        chains: list[LabeledChain] = []
-        etas: list[Embedding] = [tuple(w)]
-        words: list[Word] = [w]
-        labels: list[Label] = []
-
-        def descend() -> None:
-            if words[-1] == u:
-                if len(chains) >= max_chains:
-                    raise ResourceLimitError(
-                        f"interval has more than {max_chains} maximal chains"
-                    )
-                chains.append(
-                    LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
-                )
-                return
-            for label, eta in self.cover_moves(etas[-1]):
-                v = restrict(eta)
-                if trusted_leq(self.poset, u, v):
-                    etas.append(eta)
-                    words.append(v)
-                    labels.append(label)
-                    descend()
-                    etas.pop()
-                    words.pop()
-                    labels.pop()
-
-        descend()
+        chains = list(islice(self._chains(w, u, decreasing=False), max_chains + 1))
+        if len(chains) > max_chains:
+            raise ResourceLimitError(f"interval has more than {max_chains} maximal chains")
         return ChainContext(self, u, w, chains)
 
-    def _lex_decreasing_chains(
-        self, w: Word, u: Word | None
+    def _chains(
+        self, w: Word, u: Word | None, decreasing: bool
     ) -> Iterator[LabeledChain]:
-        """Saturated descending chains from w with strictly decreasing labels.
+        """Saturated descending chains from w, in PLO order; with decreasing,
+        only those whose labels strictly decrease.
 
         With u given, only full chains down to u are yielded; with u None every
         proper descending prefix is yielded (its endpoint is the chain bottom).
@@ -283,7 +263,7 @@ class MorseEngine:
             elif u is not None and words[-1] == u:
                 yield emit()
                 return
-            last = self.label_key(labels[-1]) if labels else None
+            last = self.label_key(labels[-1]) if decreasing and labels else None
             for label, eta in self.cover_moves(etas[-1]):
                 if last is not None and self.label_key(label) >= last:
                     break  # the moves come sorted by label key
@@ -406,7 +386,7 @@ class MorseEngine:
             return []
         return [
             dec
-            for chain in self._lex_decreasing_chains(w, u)
+            for chain in self._chains(w, u, decreasing=True)
             if (dec := self.decomposition_direct(chain)).is_critical
         ]
 
@@ -426,7 +406,7 @@ class MorseEngine:
         w = check_word(self.poset, w)
         table: dict[Word, int] = {}
         scans: list[list[int]] = [[]]  # scans[k]: the current prefix with k open positions
-        for chain in self._lex_decreasing_chains(w, None):
+        for chain in self._chains(w, None, decreasing=True):
             hi = len(chain.words) - 2
             if hi:
                 del scans[hi:]
@@ -463,7 +443,7 @@ class MorseEngine:
         The track of that slot j is a maximal chain of the P0 interval
         [eta(j), w(j)], which is the one-letter interval [(eta(j)), (w(j))] of
         subword order, or [empty, (w(j))] when eta(j) is 0: same covers, same
-        label keys, all at position 1.  Its SIs are read there.
+        label keys, all at position 1.  Its SIs are read there by :meth:`is_si`.
         """
         w = chain.top
         eta = chain.final_embedding
@@ -480,8 +460,13 @@ class MorseEngine:
         if not rightmost and any(x in above[left] for (x,) in track[1:-1]):
             return False
         one_letter = self.label_chain(track)
-        sis = self.skipped_intervals(one_letter, self.all_chains(track[-1], track[0]))
-        full = (1, len(track) - 2)
+        lo, hi = full = one_letter.open_range()
+        sis = [
+            (i, k)
+            for i in range(lo, hi + 1)
+            for k in range(i, hi + 1)
+            if self.is_si(one_letter, (i, k))
+        ]
         return sis == [full] if rightmost else all(si == full for si in sis)
 
 

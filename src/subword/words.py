@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .poset import ZERO, FinitePoset, natural_labeling
@@ -154,7 +154,10 @@ class IntervalDiagram:
     """Explicit Hasse diagram of an interval [u, w] of generalized subword order.
 
     Nodes are deduplicated canonical words, sorted by length then by natural
-    labels; edges are the covers of the induced subposet.
+    labels; edges are the covers of the induced subposet.  Node order is a
+    linear extension: every edge (a, b), where b covers a, has a < b, and no
+    edge repeats.  The passes below walk the indices in order and trust this;
+    :func:`build_interval` produces it and :meth:`from_json` enforces it.
     """
 
     def __init__(
@@ -185,44 +188,23 @@ class IntervalDiagram:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def maximal_chains(self, max_chains: int = DEFAULT_MAX_CHAINS) -> list[tuple[Word, ...]]:
-        """All maximal chains, each top-to-bottom."""
-        out: list[tuple[Word, ...]] = []
-        acc = [self.index[self.top]]
-
-        def descend(i: int) -> None:
-            if self.nodes[i] == self.bottom:
-                if len(out) >= max_chains:
-                    raise ResourceLimitError(
-                        f"interval has more than {max_chains} maximal chains"
-                    )
-                out.append(tuple(self.nodes[j] for j in acc))
-                return
-            for j in self._covers_down[i]:
-                acc.append(j)
-                descend(j)
-                acc.pop()
-
-        descend(acc[0])
-        return out
-
     def up_sets(self) -> list[set[int]]:
         """The indices of the nodes at or above each node, from the top down."""
         up: list[set[int]] = [set() for _ in self.nodes]
-        for i in reversed(self._topo_from_bottom()):
+        for i in reversed(range(len(self.nodes))):
             up[i] = {i}.union(*(up[j] for j in self._covers_up[i]))
         return up
 
     def mobius_bottom_to(self) -> dict[Word, int]:
         """mu(bottom, v) for every node v, by the classical recursion."""
-        return self._mobius_along(self._topo_from_bottom(), self._covers_down)
+        return self._mobius_along(range(len(self.nodes)), self._covers_down)
 
     def mobius_to_top(self) -> dict[Word, int]:
         """mu(v, top) for every node v, by the dual recursion."""
-        return self._mobius_along(self._topo_from_bottom()[::-1], self._covers_up)
+        return self._mobius_along(reversed(range(len(self.nodes))), self._covers_up)
 
-    def _mobius_along(self, order: list[int], before: list[list[int]]) -> dict[Word, int]:
-        """mu from the end the topological order starts at to every node;
+    def _mobius_along(self, order: Iterable[int], before: list[list[int]]) -> dict[Word, int]:
+        """mu from the end the node order starts at to every node;
         before[i] lists the neighbours of node i on that side."""
         reach: list[set[int]] = [set() for _ in self.nodes]
         mu = [0] * len(self.nodes)
@@ -231,18 +213,6 @@ class IntervalDiagram:
             strict = reach[i] - {i}
             mu[i] = -sum(mu[j] for j in strict) if strict else 1
         return {v: mu[i] for i, v in enumerate(self.nodes)}
-
-    def _topo_from_bottom(self) -> list[int]:
-        indeg = [len(self._covers_down[i]) for i in range(len(self.nodes))]
-        order = [i for i in range(len(self.nodes)) if indeg[i] == 0]
-        k = 0
-        while k < len(order):
-            for j in self._covers_up[order[k]]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    order.append(j)
-            k += 1
-        return order
 
     # -- export ---------------------------------------------------------------
 
@@ -276,6 +246,10 @@ class IntervalDiagram:
             for e in edges:
                 if len(e) != 2 or not all(type(i) is int and 0 <= i < len(nodes) for i in e):
                     raise ValueError(f"edge {list(e)} is not a pair of node indices")
+                if e[0] >= e[1]:
+                    raise ValueError(f"edge {list(e)} does not go up the node order")
+            if len(set(edges)) != len(edges):
+                raise ValueError("edges repeat")
             return cls(poset, *ends, nodes, edges, data["ranks"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad interval JSON: {exc}") from exc

@@ -31,6 +31,7 @@ from subword import (
     tomie_T,
 )
 from subword import mobius as mobius_module
+from subword.morse import MorseEngine
 from subword.poset import random_poset
 from subword.verify import all_words
 
@@ -302,8 +303,8 @@ def test_homotopy_type_errors(lam):
 def test_rank_le1_chain_purity(lam):
     # all maximal chains of an interval have the same length when rk(P) <= 1
     for u_txt, w_txt in [("", "333"), ("11", "333"), ("1", "233")]:
-        d = build_interval(lam, parse_word(lam, u_txt), parse_word(lam, w_txt))
-        lengths = {len(c) for c in d.maximal_chains()}
+        chains = MorseEngine(lam).all_chains(parse_word(lam, u_txt), parse_word(lam, w_txt))
+        lengths = {len(c.words) for c in chains.chains}
         assert len(lengths) == 1
 
 

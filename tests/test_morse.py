@@ -275,7 +275,7 @@ def test_is_si_matches_full_walk():
     for poset in posets:
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
-            for chain in eng._lex_decreasing_chains(w, None):
+            for chain in eng._chains(w, None, decreasing=True):
                 lo, hi = chain.open_range()
                 for i in range(lo, hi + 1):
                     for j in range(i, hi + 1):
@@ -328,7 +328,7 @@ def per_prefix_morse_below(eng, w, prefix_msis):
     """Reference mu(., w) table: the walk with the J-construction of the
     clip-and-minimise loop on every prefix's MSIs, given in walk order."""
     table = {}
-    for chain, msis in zip(eng._lex_decreasing_chains(w, None), prefix_msis):
+    for chain, msis in zip(eng._chains(w, None, decreasing=True), prefix_msis):
         js, critical = clip_and_minimise(msis, *chain.open_range())
         if critical:
             table[chain.bottom] = table.get(chain.bottom, 0) + (-1) ** (len(js) - 1)
@@ -340,15 +340,18 @@ def per_prefix_morse_below(eng, w, prefix_msis):
 
 def test_two_pointer_msis_match_all_pairs_scan(lam, fig3):
     eng = MorseEngine(lam)
-    chains = [(eng, c) for c in eng._lex_decreasing_chains(parse_word(lam, "33333"), None)]
+    w5, w6 = parse_word(lam, "33333"), parse_word(lam, "333333")
+    chains = [(eng, c) for c in eng._chains(w5, None, decreasing=True)]
     for u_txt in ("", "1"):
         bottom = parse_word(lam, u_txt)
-        chains += [(eng, c) for c in eng._lex_decreasing_chains(parse_word(lam, "333333"), bottom)]
+        chains += [(eng, c) for c in eng._chains(w6, bottom, decreasing=True)]
     # here a least SI (i, f(i)) can contain the one starting at i + 1
     for poset, max_w in ((CHAIN3, 3), (fig3, 2)):
         eng = MorseEngine(poset)
         chains += [
-            (eng, c) for w in all_words(poset, max_w) for c in eng._lex_decreasing_chains(w, None)
+            (eng, c)
+            for w in all_words(poset, max_w)
+            for c in eng._chains(w, None, decreasing=True)
         ]
     for eng, chain in chains:
         expected = all_pairs_msis(eng, chain)
@@ -366,7 +369,7 @@ def test_carried_scan_matches_per_prefix_references():
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
             reference = []
-            for chain in eng._lex_decreasing_chains(w, None):
+            for chain in eng._chains(w, None, decreasing=True):
                 reference.append(two_pointer_msis(eng, chain))
                 assert eng.msis_direct(chain) == reference[-1]
             table = per_prefix_morse_below(eng, w, reference)

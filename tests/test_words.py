@@ -23,6 +23,7 @@ from subword import (
     rightmost_embedding,
     runs,
 )
+from subword.morse import MorseEngine
 from subword.poset import random_poset
 from subword.verify import all_words
 
@@ -179,12 +180,12 @@ def test_build_interval_errors(lam):
 
 
 def test_maximal_chains(lam):
-    d = build_interval(lam, parse_word(lam, "11"), parse_word(lam, "333"))
-    chains = d.maximal_chains()
-    for chain in chains:
-        assert chain[0] == d.top and chain[-1] == d.bottom
+    u, w = parse_word(lam, "11"), parse_word(lam, "333")
+    eng = MorseEngine(lam)
+    for chain in eng.all_chains(u, w).chains:
+        assert chain.words[0] == w and chain.words[-1] == u
     with pytest.raises(ResourceLimitError):
-        d.maximal_chains(max_chains=2)
+        eng.all_chains(u, w, max_chains=2)
 
 
 def test_mobius_passes_agree(lam):
@@ -219,6 +220,10 @@ def test_export_json_round_trip(lam):
         {"edges": [[0.7, 1]]},  # edge index that is not an integer
         {"edges": [[0, True]]},  # edge index that is a boolean
         {"ranks": ["0", 1]},  # rank that is not an integer
+        {"edges": [[1, 0]]},  # edge down the node order
+        {"edges": [[0, 0], [0, 1]]},  # self-loop
+        {"edges": [[0, 1], [1, 0]]},  # 2-cycle
+        {"edges": [[0, 1], [0, 1]]},  # repeated edge
     ],
 )
 def test_from_json_rejects_inconsistent_diagram(lam, change):
