@@ -26,14 +26,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    DomainError,
-    InputError,
-    ResourceLimitError,
-    SubwordError,
-    UnsupportedPosetError,
-    VerificationError,
-)
+from .errors import InputError, ResourceLimitError, SubwordError, VerificationError
 from .poset import DEFAULT_POSET_SPEC, FinitePoset, load_poset
 from .words import (
     DEFAULT_MAX_CHAINS,
@@ -271,9 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, DomainError, UnsupportedPosetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -153,11 +153,11 @@ def runs(w: Sequence[int]) -> list[tuple[int, int, int]]:
 class IntervalDiagram:
     """Explicit Hasse diagram of an interval [u, w] of generalized subword order.
 
+    Only :func:`build_interval` constructs one, and the passes below trust it.
     Nodes are deduplicated canonical words, sorted by length then by natural
-    labels; edges are the covers of the induced subposet.  Node order is a
-    linear extension: every edge (a, b), where b covers a, has a < b, and no
-    edge repeats.  The passes below walk the indices in order and trust this;
-    :func:`build_interval` produces it and :meth:`from_json` enforces it.
+    labels; ``covers_down`` maps each node to the nodes it covers.  Node
+    order is a linear extension: every edge (a, b), where b covers a, has
+    a < b, and no edge repeats.
     """
 
     def __init__(
@@ -165,22 +165,25 @@ class IntervalDiagram:
         poset: FinitePoset,
         bottom: Word,
         top: Word,
-        nodes: Sequence[Word],
-        edges: Sequence[tuple[int, int]],
-        ranks: Sequence[int],
+        nodes: list[Word],
+        covers_down: dict[Word, list[Word]],
     ):
         self.poset = poset
         self.bottom = bottom
         self.top = top
-        self.nodes = tuple(tuple(v) for v in nodes)
-        self.edges = tuple(sorted((int(a), int(b)) for a, b in edges))
-        self.ranks = tuple(int(r) for r in ranks)
-        self.index = {v: i for i, v in enumerate(self.nodes)}
-        self._covers_down: list[list[int]] = [[] for _ in self.nodes]
-        self._covers_up: list[list[int]] = [[] for _ in self.nodes]
-        for a, b in self.edges:  # b covers a
-            self._covers_down[b].append(a)
-            self._covers_up[a].append(b)
+        self.nodes = nodes
+        self.index = index = {v: i for i, v in enumerate(nodes)}
+        self._covers_down: list[list[int]] = []
+        self._covers_up: list[list[int]] = [[] for _ in nodes]
+        ranks: list[int] = []
+        for i, v in enumerate(nodes):
+            lower = [index[z] for z in covers_down[v]]
+            self._covers_down.append(lower)
+            for k in lower:
+                self._covers_up[k].append(i)
+            ranks.append(max((ranks[k] + 1 for k in lower), default=0))
+        self.ranks = ranks
+        self.edges = tuple((a, b) for a, up in enumerate(self._covers_up) for b in up)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -222,36 +225,30 @@ class IntervalDiagram:
                 "bottom": format_word(self.poset, self.bottom),
                 "top": format_word(self.poset, self.top),
                 "nodes": [format_word(self.poset, v) for v in self.nodes],
-                "edges": [list(e) for e in self.edges],
-                "ranks": list(self.ranks),
+                "edges": self.edges,
+                "ranks": self.ranks,
             }
         )
 
     @classmethod
     def from_json(cls, poset: FinitePoset, text: str) -> "IntervalDiagram":
+        """The diagram :meth:`export_json` writes for [bottom, top], rebuilt;
+        any other JSON, even a valid diagram in another node order, is an
+        :class:`InputError`.  The JSON's own size caps the rebuild."""
         try:
             data = json.loads(text)
             texts = (*data["nodes"], data["bottom"], data["top"])
             if not all(isinstance(s, str) for s in texts):
                 raise ValueError("nodes, bottom and top must be word strings")
-            nodes = [parse_word(poset, s) for s in data["nodes"]]
-            ends = [parse_word(poset, data[k]) for k in ("bottom", "top")]
-            edges = [tuple(e) for e in data["edges"]]
-            if len(data["ranks"]) != len(nodes):
-                raise ValueError(f"{len(data['ranks'])} ranks for {len(nodes)} nodes")
-            if not all(type(r) is int for r in data["ranks"]):  # not bool, not float
-                raise ValueError(f"ranks {data['ranks']} are not all integers")
-            if any(v not in nodes for v in ends):
-                raise ValueError("bottom and top must be nodes")
-            for e in edges:
-                if len(e) != 2 or not all(type(i) is int and 0 <= i < len(nodes) for i in e):
-                    raise ValueError(f"edge {list(e)} is not a pair of node indices")
-                if e[0] >= e[1]:
-                    raise ValueError(f"edge {list(e)} does not go up the node order")
-            if len(set(edges)) != len(edges):
-                raise ValueError("edges repeat")
-            return cls(poset, *ends, nodes, edges, data["ranks"])
-        except (KeyError, TypeError, ValueError) as exc:
+            bottom, top = (parse_word(poset, data[k]) for k in ("bottom", "top"))
+            diagram = build_interval(
+                poset, bottom, top, max_nodes=len(data["nodes"]), max_word_len=len(top)
+            )
+            for key, value in json.loads(diagram.export_json()).items():
+                if json.dumps(data[key]) != json.dumps(value):
+                    raise ValueError(f"{key!r} is not what [bottom, top] exports")
+            return diagram
+        except (KeyError, TypeError, ValueError, DomainError, ResourceLimitError) as exc:
             raise InputError(f"bad interval JSON: {exc}") from exc
 
     def export_dot(self) -> str:
@@ -273,18 +270,12 @@ class IntervalDiagram:
         raise InputError(f"unknown export format {fmt!r}")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntervalDiagram)
-            and self.poset == other.poset
-            and self.bottom == other.bottom
-            and self.top == other.top
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-            and self.ranks == other.ranks
-        )
+        return isinstance(other, IntervalDiagram) and (
+            self.poset, self.bottom, self.top
+        ) == (other.poset, other.bottom, other.top)
 
     def __hash__(self) -> int:
-        return hash((self.bottom, self.top, self.nodes, self.edges))
+        return hash((self.bottom, self.top))
 
 
 def interval_covers(
@@ -335,12 +326,4 @@ def build_interval(
     # Length, then labels, is a linear extension: a cover is shorter, or
     # lowers one letter to a smaller label.
     nodes = sorted(below, key=lambda v: (len(v), tuple(label[x] for x in v)))
-    index = {v: i for i, v in enumerate(nodes)}
-    edges: list[tuple[int, int]] = []
-    ranks: list[int] = []
-    for i, v in enumerate(nodes):
-        lower = [index[z] for z in below[v]]
-        edges.extend((k, i) for k in lower)
-        ranks.append(max((ranks[k] + 1 for k in lower), default=0))
-
-    return IntervalDiagram(poset, u, w, nodes, edges, ranks)
+    return IntervalDiagram(poset, u, w, nodes, below)

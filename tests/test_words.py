@@ -196,9 +196,16 @@ def test_mobius_passes_agree(lam):
 
 
 def test_export_json_round_trip(lam):
+    count = 0
+    for poset, max_w in ((lam, 3), (builtin_poset("fig3"), 2)):
+        for w in all_words(poset, max_w):
+            for u in build_interval(poset, (), w).nodes:
+                d = build_interval(poset, u, w)
+                again = IntervalDiagram.from_json(poset, d.export_json())
+                assert again == d and again.export_json() == d.export_json(), (u, w)
+                count += 1
+    assert count == 1412
     d = build_interval(lam, parse_word(lam, "11"), parse_word(lam, "333"))
-    again = IntervalDiagram.from_json(lam, d.export_json())
-    assert again == d
     data = json.loads(d.export_json())
     assert set(data) == {"bottom", "top", "nodes", "edges", "ranks"}
     with pytest.raises(InputError):
@@ -224,6 +231,10 @@ def test_export_json_round_trip(lam):
         {"edges": [[0, 0], [0, 1]]},  # self-loop
         {"edges": [[0, 1], [1, 0]]},  # 2-cycle
         {"edges": [[0, 1], [0, 1]]},  # repeated edge
+        {"bottom": "3", "top": "1"},  # bottom above top
+        {"nodes": ["1", "2", "3"], "edges": [[0, 2]], "ranks": [0, 0, 1]},  # stray node
+        {"top": "33", "nodes": ["1", "33"]},  # middle nodes missing: a false cover
+        {"ranks": [7, 7]},  # ranks that are not the interval's
     ],
 )
 def test_from_json_rejects_inconsistent_diagram(lam, change):
