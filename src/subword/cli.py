@@ -12,11 +12,13 @@ each subcommand imports the route it runs: ``mobius`` and ``homotopy`` import
 subcommand loads ``dataclasses``.  A formula call thus costs about one
 interpreter start-up.
 
-Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) and ``--max-word-len`` bound
-the intervals that interval and the oracle route of mobius build; homotopy
-and the formula route build none, and the Morse routes apply neither yet.
-``--max-chains`` (else SUBWORD_MAX_CHAINS) is enforced by none yet, but every
-subcommand that takes the caps rejects a bad value of any of them with exit 2.
+Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) bounds the intervals that
+interval and the oracle route of mobius build; homotopy and the formula route
+build none.  ``--max-word-len`` bounds |w| for those builds and for the Morse
+routes, critical-chains and mobius --method morse/all, and ``--max-chains``
+(else SUBWORD_MAX_CHAINS) bounds the strictly decreasing chains those Morse
+routes examine.  Every subcommand that takes the caps rejects a bad value of
+any of them with exit 2.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .words import (
     DEFAULT_MAX_WORD_LEN,
     Word,
     build_interval,
+    check_word_len,
     format_embedding,
     format_word,
     parse_word,
@@ -91,7 +94,7 @@ def cmd_mobius(args: argparse.Namespace) -> int:
     from .mobius import mobius_main, mobius_oracle
 
     poset, u, w = _load(args)
-    max_nodes, _ = _caps(args)
+    max_nodes, max_chains = _caps(args)
     values: dict[str, int] = {}
     report = None
     if args.method in ("formula", "all"):
@@ -104,7 +107,8 @@ def cmd_mobius(args: argparse.Namespace) -> int:
     if args.method in ("morse", "all"):
         from .morse import MorseEngine
 
-        values["morse"] = MorseEngine(poset).mobius_morse(u, w)
+        check_word_len(w, args.max_word_len)
+        values["morse"] = MorseEngine(poset).mobius_morse(u, w, max_chains)
     pair = f"mu({format_word(poset, u)}, {format_word(poset, w)})"
     if args.format == "json":
         print(json.dumps({"u": format_word(poset, u), "w": format_word(poset, w),
@@ -140,8 +144,9 @@ def cmd_critical_chains(args: argparse.Namespace) -> int:
     from .morse import MorseEngine
 
     poset, u, w = _load(args)
-    _caps(args)
-    decs = MorseEngine(poset).critical_chains(u, w)
+    _, max_chains = _caps(args)
+    check_word_len(w, args.max_word_len)
+    decs = MorseEngine(poset).critical_chains(u, w, max_chains)
     for dec in decs:
         js = " ".join(f"[{a},{b}]" for a, b in dec.j_intervals) or "-"
         print(

@@ -17,12 +17,21 @@ Two skipped-interval tests coexist:
   generating only chains whose label sequences strictly decrease (no other
   chain can be critical), this keeps large sweeps feasible.
 
+The walk to a bottom u keeps only prefixes that can still reach u.  Labels
+strictly decrease, so after a move at position p the slots after p never
+change again: a move is kept only if the word on those frozen slots is a
+suffix of u and the rest of u lies below the word on slots 1..p.  This
+implies u <= v for the new word v, the only test of the unrestricted walk,
+and cuts the dead ends that made the walk grow far faster than its chains.
+
 The direct test of (i, j) reads only C's first j + 2 words, so the MSI scan
 is carried along a chain one step at a time: a step tests the new last index
 only for the starts i not yet closed, and :meth:`MorseEngine.msis_direct` is
-the fold of that step, while :meth:`MorseEngine.mobius_morse_below` carries
-it along the walk from parent prefix to child.  The J-intervals then come
-from one left-to-right pass over the MSIs (:func:`j_construction`).
+the fold of that step.  :meth:`MorseEngine.mobius_morse_below` carries it
+along the walk from parent prefix to child, and
+:meth:`MorseEngine.critical_chains` keeps the scans of the labels a chain
+shares with the one before it and carries only the rest.  The J-intervals
+then come from one left-to-right pass over the MSIs (:func:`j_construction`).
 
 P0 (P with a bottom 0 adjoined) is the one-letter slice of subword order: the
 P0 interval [x, y] is the interval [(x), (y)] of words, or [empty, (y)] when
@@ -249,6 +258,8 @@ class MorseEngine:
 
         With u given, only full chains down to u are yielded; with u None every
         proper descending prefix is yielded (its endpoint is the chain bottom).
+        With u given and decreasing, a move is kept only if its frozen tail
+        still lets the walk reach u (see :meth:`_can_reach`).
         """
         etas: list[Embedding] = [tuple(w)]
         words: list[Word] = [w]
@@ -268,7 +279,11 @@ class MorseEngine:
                 if last is not None and self.label_key(label) >= last:
                     break  # the moves come sorted by label key
                 v = restrict(eta)
-                if u is not None and not trusted_leq(self.poset, u, v):
+                if u is not None and not (
+                    self._can_reach(u, eta, label[0])
+                    if decreasing
+                    else trusted_leq(self.poset, u, v)
+                ):
                     continue
                 etas.append(eta)
                 words.append(v)
@@ -279,6 +294,14 @@ class MorseEngine:
                 labels.pop()
 
         yield from descend()
+
+    def _can_reach(self, u: Word, eta: Embedding, p: int) -> bool:
+        """Whether a strictly decreasing walk on from eta, after a move at
+        position p, can end at u: every later move is at p or before, so the
+        slots after p are u's tail and u's head lies below the slots up to p."""
+        tail = restrict(eta[p:])
+        k = len(u) - len(tail)
+        return k >= 0 and u[k:] == tail and trusted_leq(self.poset, u[:k], restrict(eta[:p]))
 
     # -- skipped intervals: brute force over earlier chains --------------------
 
@@ -366,17 +389,26 @@ class MorseEngine:
             ends = self._carry_msi_scan(chain, ends, hi)
         return _msis_of_scan(ends)
 
-    def decomposition_direct(self, chain: LabeledChain) -> MsiDecomposition:
-        return self._decompose(chain, self.msis_direct(chain))
+    def decomposition_direct(
+        self, chain: LabeledChain, ends: list[int] | None = None
+    ) -> MsiDecomposition:
+        """The decomposition from chain's carried MSI scan ``ends``; with
+        None, the scan is folded here (:meth:`msis_direct`)."""
+        msis = self.msis_direct(chain) if ends is None else _msis_of_scan(ends)
+        return self._decompose(chain, msis)
 
     # -- critical chains and the Morse Mobius sum -----------------------------
 
-    def critical_chains(self, u: Word, w: Word) -> list[MsiDecomposition]:
+    def critical_chains(
+        self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
+    ) -> list[MsiDecomposition]:
         """All critical chains of [u, w], PLO-sorted.
 
         Only chains with strictly decreasing label sequences are examined;
-        no other chain can be critical.  The walker takes moves in label-key
-        order, so the chains already come out in PLO order.
+        no other chain can be critical, and more than max_chains of them is a
+        :class:`ResourceLimitError`.  The walker takes moves in label-key
+        order, so the chains already come out in PLO order.  A chain keeps
+        the MSI scans of the labels it shares with the chain before it.
         """
         u = check_word(self.poset, u)
         w = check_word(self.poset, w)
@@ -384,20 +416,34 @@ class MorseEngine:
             raise DomainError("critical_chains requires u <= w")
         if u == w:
             return []
-        return [
-            dec
-            for chain in self._chains(w, u, decreasing=True)
-            if (dec := self.decomposition_direct(chain)).is_critical
-        ]
+        out: list[MsiDecomposition] = []
+        scans: list[list[int]] = [[]]  # scans[hi]: the scan through words[hi + 1]
+        labels: tuple[Label, ...] = ()
+        for n, chain in enumerate(self._chains(w, u, decreasing=True)):
+            if n == max_chains:
+                raise ResourceLimitError(
+                    f"interval has more than {max_chains} strictly decreasing chains"
+                )
+            shared = next(
+                (k for k, (a, b) in enumerate(zip(labels, chain.labels)) if a != b), 0
+            )
+            del scans[max(shared, 1) :]  # scans[hi] reads labels[: hi + 1]
+            for hi in range(len(scans), len(chain.words) - 1):
+                scans.append(self._carry_msi_scan(chain, scans[-1], hi))
+            labels = chain.labels
+            dec = self.decomposition_direct(chain, scans[-1])
+            if dec.is_critical:
+                out.append(dec)
+        return out
 
-    def mobius_morse(self, u: Word, w: Word) -> int:
+    def mobius_morse(self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS) -> int:
         u = check_word(self.poset, u)
         w = check_word(self.poset, w)
         if u == w:
             return 1
         if not trusted_leq(self.poset, u, w):
             raise DomainError("mobius_morse requires u <= w")
-        total = sum(dec.sign() for dec in self.critical_chains(u, w))
+        total = sum(dec.sign() for dec in self.critical_chains(u, w, max_chains))
         return check_i64(total, "mobius_morse")
 
     def mobius_morse_below(self, w: Word) -> dict[Word, int]:

@@ -26,6 +26,11 @@ def check_word(poset: FinitePoset, w: Sequence[int]) -> Word:
     return tuple(w)
 
 
+def check_word_len(w: Word, max_word_len: int) -> None:
+    if len(w) > max_word_len:
+        raise ResourceLimitError(f"|w| = {len(w)} exceeds the word-length cap {max_word_len}")
+
+
 def parse_word(poset: FinitePoset, text: str) -> Word:
     """Parse a word: concatenated single-character names, or comma-separated."""
     text = text.strip()
@@ -248,7 +253,8 @@ class IntervalDiagram:
                 if json.dumps(data[key]) != json.dumps(value):
                     raise ValueError(f"{key!r} is not what [bottom, top] exports")
             return diagram
-        except (KeyError, TypeError, ValueError, DomainError, ResourceLimitError) as exc:
+        except (KeyError, TypeError, ValueError, InputError, DomainError,
+                ResourceLimitError) as exc:
             raise InputError(f"bad interval JSON: {exc}") from exc
 
     def export_dot(self) -> str:
@@ -314,10 +320,7 @@ def build_interval(
 ) -> IntervalDiagram:
     u = check_word(poset, u)
     w = check_word(poset, w)
-    if len(w) > max_word_len:
-        raise ResourceLimitError(
-            f"|w| = {len(w)} exceeds the word-length cap {max_word_len}"
-        )
+    check_word_len(w, max_word_len)
     if not trusted_leq(poset, u, w):
         raise DomainError("build_interval requires u <= w")
 

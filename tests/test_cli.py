@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import subword
 from subword.cli import main
 
 
@@ -257,6 +261,43 @@ def test_critical_chains_rejects_bad_caps(capsys, monkeypatch, flags, env):
         capsys, "critical-chains", "--poset", "lambda", "--u", "1", "--w", "333", *flags
     )
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def _cli(*argv, env=None):
+    """Run the CLI in a child process that must exit within 5 s."""
+    src = str(Path(subword.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "subword.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src, **(env or {})),
+        capture_output=True, text=True, timeout=5,
+    )
+
+
+# [1, 3^11] has thousands of strictly decreasing chains, so a cap of 10 must
+# trip on the 11th, long before the walk ends.
+LONG = ["--poset", "lambda", "--u", "1", "--w", "33333333333"]
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["critical-chains", *LONG, "--max-chains", "10"], None),
+        (["critical-chains", *LONG], {"SUBWORD_MAX_CHAINS": "10"}),
+        (["mobius", "--method", "morse", *LONG, "--max-chains", "10"], None),
+    ],
+)
+def test_morse_routes_enforce_the_chain_cap(argv, env):
+    proc = _cli(*argv, env=env)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: interval has more than 10 strictly decreasing chains\n"
+
+
+@pytest.mark.parametrize("command", [["mobius", "--method", "morse"], ["critical-chains"]])
+def test_morse_routes_apply_the_word_length_cap(capsys, command):
+    code, out, err = run(
+        capsys, *command, "--poset", "lambda", "--u", "1", "--w", "3333", "--max-word-len", "3"
+    )
+    assert (code, out) == (3, "") and "word-length cap 3" in err
 
 
 def test_formula_overflow_exits_2(capsys):

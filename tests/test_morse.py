@@ -6,6 +6,7 @@ from subword import (
     AugmentedPoset,
     DomainError,
     NaturalLabeling,
+    ResourceLimitError,
     ZERO,
     builtin_poset,
     build_interval,
@@ -17,7 +18,7 @@ from subword import (
     parse_word,
     restrict,
 )
-from subword.morse import MorseEngine, _minimal_intervals, j_construction
+from subword.morse import LabeledChain, MorseEngine, _minimal_intervals, j_construction
 from subword.poset import all_linear_extensions, random_poset
 from subword.verify import all_words
 from subword.words import interval_covers, trusted_leq
@@ -415,6 +416,66 @@ def test_j_construction():
     # (2,3) clipped to (3,3) drops (3,4), whose remnant would contain it
     js, crit = j_construction([(1, 2), (2, 3), (3, 4)], 1, 4)
     assert js == ((1, 2), (3, 3)) and not crit
+
+
+def unpruned_decreasing_chains(eng, w, u):
+    """Reference walk: every strictly decreasing chain from w down to u, in
+    PLO order, keeping each move whose word is still >= u."""
+    out = []
+
+    def descend(etas, words, labels):
+        if words[-1] == u:
+            out.append(LabeledChain(eng.poset, tuple(words), tuple(etas), tuple(labels)))
+            return
+        for label, eta in eng.cover_moves(etas[-1]):
+            if labels and eng.label_key(label) >= eng.label_key(labels[-1]):
+                break
+            v = restrict(eta)
+            if trusted_leq(eng.poset, u, v):
+                descend(etas + [eta], words + [v], labels + [label])
+
+    descend([tuple(w)], [w], [])
+    return out
+
+
+def folded_critical_chains(eng, chains):
+    """Reference critical chains among the chains of the unpruned walk of a
+    proper interval, with each chain's MSI scan folded from scratch."""
+    return [dec for chain in chains if (dec := eng.decomposition_direct(chain)).is_critical]
+
+
+def test_pruned_walk_and_carried_scan_match_references():
+    # the frozen-tail prune drops only dead ends, and the scans carried from
+    # chain to chain give the decompositions of the per-chain fold
+    posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(20)]
+    intervals = 0
+    for poset in posets:
+        eng = MorseEngine(poset)
+        for w in all_words(poset, 2 if poset.n > 5 else 3):
+            for u in interval_covers(poset, (), w, 10**6):
+                chains = unpruned_decreasing_chains(eng, w, u)
+                assert list(eng._chains(w, u, decreasing=True)) == chains
+                expected = folded_critical_chains(eng, chains) if u != w else []
+                assert eng.critical_chains(u, w) == expected
+                intervals += 1
+    assert intervals == 21779
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9])
+def test_critical_chains_of_long_words_sum_to_the_formula(lam, k):
+    u, w = parse_word(lam, "1"), parse_word(lam, "3" * k)
+    total = sum(dec.sign() for dec in MorseEngine(lam).critical_chains(u, w))
+    assert total == mobius_main(lam, u, w).value
+
+
+def test_critical_chains_cap(lam):
+    eng = MorseEngine(lam)
+    u, w = parse_word(lam, "11"), parse_word(lam, "333")
+    assert len(eng.critical_chains(u, w, max_chains=6)) == len(eng.critical_chains(u, w))
+    with pytest.raises(ResourceLimitError, match="more than 5 strictly decreasing chains"):
+        eng.critical_chains(u, w, max_chains=5)
+    with pytest.raises(ResourceLimitError):
+        eng.mobius_morse(u, w, max_chains=5)
 
 
 def test_critical_chains_fig3(fig3):

@@ -235,6 +235,7 @@ def test_export_json_round_trip(lam):
         {"nodes": ["1", "2", "3"], "edges": [[0, 2]], "ranks": [0, 0, 1]},  # stray node
         {"top": "33", "nodes": ["1", "33"]},  # middle nodes missing: a false cover
         {"ranks": [7, 7]},  # ranks that are not the interval's
+        {"bottom": "9"},  # bottom with an unknown element name
     ],
 )
 def test_from_json_rejects_inconsistent_diagram(lam, change):
