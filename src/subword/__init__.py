@@ -18,8 +18,8 @@ _EXPORTS = {
     "mobius": (
         "HomotopyReport", "MobiusReport", "contribution", "defect", "embedding_subposet",
         "homotopy_type", "is_normal_forest", "mobius_bjorner", "mobius_embedding_subposet",
-        "mobius_forest", "mobius_main", "mobius_oracle", "normal_embeddings_antichain",
-        "rank_word",
+        "mobius_forest", "mobius_main", "mobius_main_below", "mobius_oracle",
+        "normal_embeddings_antichain", "rank_word",
     ),
     "morse": ("ChainContext", "LabeledChain", "MorseEngine", "MsiDecomposition"),
     "poset": (

@@ -1,9 +1,14 @@
 """Chebyshev polynomials of the first kind, the generalized one-parameter
-family, and coefficient cross-checks against word-interval Mobius values."""
+family, and coefficient cross-checks against word-interval Mobius values.
+
+The closed forms divide; each quotient is checked to be exact in integer
+arithmetic, so the module needs no rationals and does not import
+``fractions`` (with ``decimal``, about 3 ms of a CLI call's start-up).
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, IntegerOverflowError
@@ -62,40 +67,48 @@ def chebyshev_T(n: int) -> IntPolynomial:
 
 
 def chebyshev_T_closed(n: int) -> IntPolynomial:
-    """T_n from the alternating binomial closed form, exact rationals inside."""
+    """T_n from the alternating binomial closed form: the x^(n-2k)
+    coefficient is (n/2) (-1)^k / (n-k) * C(n-k, k) * 2^(n-2k)."""
     if n < 0:
         raise DomainError("chebyshev_T_closed requires n >= 0")
     if n == 0:
         return IntPolynomial((1,))
     if n == 1:
         return IntPolynomial((0, 1))
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for k in range(n // 2 + 1):
-        term = (
-            Fraction(n, 2)
-            * Fraction((-1) ** k, n - k)
-            * binom(n - k, k)
-            * 2 ** (n - 2 * k)
-        )
-        coeffs[n - 2 * k] += term
-    return IntPolynomial(tuple(_as_int(c, f"chebyshev_T_closed({n})") for c in coeffs))
+        numerator = n * (-1) ** k * binom(n - k, k) * 2 ** (n - 2 * k)
+        coeffs[n - 2 * k] = _exact(numerator, 2 * (n - k), f"chebyshev_T_closed({n})")
+    return IntPolynomial(tuple(coeffs))
 
 
+@lru_cache(maxsize=1024, typed=True)
 def tomie_T(s: int, n: int) -> IntPolynomial:
-    """The generalized family T^s_n; s = 2 recovers the classical T_n."""
+    """The generalized family T^s_n; s = 2 recovers the classical T_n.
+    Kept per (s, n), so a table or a sweep computes each once: the result
+    is immutable."""
     if s < 1 or n < 0:
         raise DomainError("tomie_T requires s >= 1 and n >= 0")
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for k in range(n // 2 + 1):
-        bracket = binom(n - k, k) * s - binom(n - k - 1, k)
-        coeffs[n - 2 * k] += (-1) ** k * Fraction(s) ** (n - 2 * k - 1) * bracket
-    return IntPolynomial(tuple(_as_int(c, f"tomie_T({s},{n})") for c in coeffs))
+        # (-1)^k s^(n-2k-1) (C(n-k, k) s - C(n-k-1, k)); the power is -1 at 2k = n
+        term = (-1) ** k * (binom(n - k, k) * s - binom(n - k - 1, k))
+        power = n - 2 * k - 1
+        coeffs[n - 2 * k] = (
+            term * s**power if power >= 0 else _exact(term, s, f"tomie_T({s},{n})")
+        )
+    return IntPolynomial(tuple(coeffs))
 
 
-def _as_int(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
+def _exact(numerator: int, denominator: int, context: str) -> int:
+    """numerator / denominator, which must be an integer."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        from fractions import Fraction
+
+        value = Fraction(numerator, denominator)
         raise IntegerOverflowError(f"{context}: non-integer coefficient {value}")
-    return int(value)
+    return quotient
 
 
 class ChebyshevCheck(NamedTuple):
@@ -111,8 +124,9 @@ def mobius_closed_form(i: int, j: int) -> int:
     """mu of the standard intervals for s = 2 in closed form, valid for j >= 1."""
     if j < 1:
         raise DomainError("closed form requires j >= 1")
-    value = Fraction((-1) ** i) * Fraction(2) ** (j - i - 1) * Fraction(i + j, j) * binom(j, i)
-    return _as_int(value, f"mobius_closed_form({i},{j})")
+    # (-1)^i 2^(j-i-1) (i+j)/j C(j, i), with the power of 2 moved below when negative
+    numerator = (-1) ** i * (i + j) * binom(j, i) * 2 ** max(j - i - 1, 0)
+    return _exact(numerator, j * 2 ** max(i - j + 1, 0), f"mobius_closed_form({i},{j})")
 
 
 def verify_chebyshev(i: int, j: int, s: int = 2) -> ChebyshevCheck:

@@ -17,8 +17,9 @@ interval and the oracle route of mobius build; homotopy and the formula route
 build none.  ``--max-word-len`` bounds |w| for those builds and for the Morse
 routes, critical-chains and mobius --method morse/all, and ``--max-chains``
 (else SUBWORD_MAX_CHAINS) bounds the strictly decreasing chains those Morse
-routes examine.  Every subcommand that takes the caps rejects a bad value of
-any of them with exit 2.
+routes examine.  verify applies the node cap to each [empty, w] it builds and
+to the Morse tables, and the chain cap to every Morse walk.  Every subcommand
+that takes the caps rejects a bad value of any of them with exit 2.
 """
 
 from __future__ import annotations
@@ -53,21 +54,24 @@ def _env_int(name: str, default: int) -> int:
         raise InputError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def _add_poset_args(parser: argparse.ArgumentParser, with_words: bool = True) -> None:
+def _add_poset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--poset", required=True, help="built-in name or poset JSON file path"
     )
-    if with_words:
-        parser.add_argument("--u", required=True, help="bottom word")
-        parser.add_argument("--w", required=True, help="top word")
+    parser.add_argument("--u", required=True, help="bottom word")
+    parser.add_argument("--w", required=True, help="top word")
+    _add_cap_args(parser)
+    parser.add_argument(
+        "--max-word-len", type=int, default=DEFAULT_MAX_WORD_LEN, help="word length cap"
+    )
+
+
+def _add_cap_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-nodes", type=int, default=None, help="interval node cap"
     )
     parser.add_argument(
         "--max-chains", type=int, default=None, help="maximal-chain cap"
-    )
-    parser.add_argument(
-        "--max-word-len", type=int, default=DEFAULT_MAX_WORD_LEN, help="word length cap"
     )
 
 
@@ -80,7 +84,7 @@ def _caps(args: argparse.Namespace) -> tuple[int, int]:
         max_chains = _env_int("SUBWORD_MAX_CHAINS", DEFAULT_MAX_CHAINS)
     if max_nodes <= 0 or max_chains <= 0:
         raise InputError("caps must be positive")
-    if args.max_word_len < 0:
+    if getattr(args, "max_word_len", 0) < 0:  # verify takes no word-length cap
         raise InputError("the word-length cap must not be negative")
     return max_nodes, max_chains
 
@@ -193,11 +197,14 @@ def cmd_homotopy(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_all
 
+    max_nodes, max_chains = _caps(args)
     results = run_all(
         poset_spec=args.posets,
         max_w=args.max_w,
         lemma_max_w=args.lemma_max_w,
         chebyshev_max_j=args.chebyshev_max_j,
+        max_nodes=max_nodes,
+        max_chains=max_chains,
     )
     width = max(len(r.name) for r in results)
     failed = False
@@ -256,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-w", type=int, default=3)
     p.add_argument("--lemma-max-w", type=int, default=2)
     p.add_argument("--chebyshev-max-j", type=int, default=5)
+    _add_cap_args(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -31,6 +31,7 @@ from .words import (
     embeddings,
     format_embedding,
     format_word,
+    interval_covers,
     is_embedding,
     restrict,
     runs,
@@ -143,6 +144,45 @@ def mobius_main(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> Mobiu
         row[0] *= skip
     value = check_i64(row[len(u)], "mobius_main")
     return MobiusReport(poset, u, w, value, "formula", _EmbeddingTerms(poset, u, w))
+
+
+def mobius_main_below(
+    poset: FinitePoset,
+    w: Sequence[int],
+    words: Iterable[Word] | None = None,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> dict[Word, int]:
+    """The formula route for every u <= w at once: {u: mu(u, w)}.
+
+    The DP of :func:`mobius_main` reads u one letter at a time, so the column
+    of u over the positions of w is its parent prefix's column extended by
+    u's last letter, at O(|w|) per u.  ``words`` lists [empty, w] with each
+    word after its parent prefix (shortest first, as the interval's node
+    order does); by default it is searched here under ``max_nodes``.
+    """
+    w = check_word(poset, w)
+    if words is None:
+        words = sorted(interval_covers(poset, (), w, max_nodes), key=len)
+    mu0, above = poset.mu0, poset.above
+    skips = [mu0(ZERO, b) + (j > 0 and w[j - 1] == b) for j, b in enumerate(w)]
+    empty = [1]
+    for skip in skips:
+        empty.append(empty[-1] * skip)
+    columns: dict[Word, list[int]] = {(): empty}
+    factors: dict[int, list[int]] = {}  # letter x: mu0(x, w[j]), 0 where x is not below
+    table: dict[Word, int] = {}
+    for u in words:
+        if u:
+            parent, x = columns[u[:-1]], u[-1]
+            factor = factors.get(x)
+            if factor is None:
+                factor = factors[x] = [mu0(x, b) if b in above[x] else 0 for b in w]
+            column = [0]
+            for j, skip in enumerate(skips):
+                column.append(column[j] * skip + parent[j] * factor[j])
+            columns[u] = column
+        table[u] = check_i64(columns[u][-1], "mobius_main_below")
+    return table
 
 
 def mobius_oracle(

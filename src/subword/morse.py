@@ -44,6 +44,7 @@ separate P0 walker.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
@@ -446,40 +447,59 @@ class MorseEngine:
         total = sum(dec.sign() for dec in self.critical_chains(u, w, max_chains))
         return check_i64(total, "mobius_morse")
 
-    def mobius_morse_below(self, w: Word) -> dict[Word, int]:
+    def mobius_morse_below(
+        self,
+        w: Word,
+        max_nodes: int = DEFAULT_MAX_NODES,
+        max_chains: int = DEFAULT_MAX_CHAINS,
+    ) -> dict[Word, int]:
         """mu(u, w) for every u <= w via the Morse sum, one traversal of w;
-        each prefix's MSI scan is its parent's, carried one step."""
+        each prefix's MSI scan is its parent's, carried one step.  More than
+        max_nodes elements of [empty, w] or more than max_chains walked
+        prefixes (strictly decreasing chains from w) is a
+        :class:`ResourceLimitError`."""
         w = check_word(self.poset, w)
         table: dict[Word, int] = {}
         scans: list[list[int]] = [[]]  # scans[k]: the current prefix with k open positions
-        for chain in self._chains(w, None, decreasing=True):
+        for n, chain in enumerate(self._chains(w, None, decreasing=True)):
+            if n == max_chains:
+                raise ResourceLimitError(
+                    f"interval has more than {max_chains} strictly decreasing chains"
+                )
             hi = len(chain.words) - 2
             if hi:
                 del scans[hi:]
                 scans.append(self._carry_msi_scan(chain, scans[-1], hi))
-            js, critical = j_construction(_msis_of_scan(scans[hi]), 1, hi)
-            if critical:  # of dimension len(js) - 1
-                total = table.get(chain.bottom, 0) + (1 if len(js) % 2 else -1)
+            sign = _scan_sign(tuple(scans[hi]))
+            if sign:
+                total = table.get(chain.bottom, 0) + sign
                 table[chain.bottom] = check_i64(total, "mobius_morse_below")
-        for u in interval_covers(self.poset, (), w, DEFAULT_MAX_NODES):
+        for u in interval_covers(self.poset, (), w, max_nodes):
             table.setdefault(u, 0)
         table[w] = 1
         return table
 
+    def embedding_mus(
+        self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
+    ) -> dict[Embedding, int]:
+        """Morse contribution of each final embedding of [u, w]'s critical
+        chains, from one walk; an embedding no critical chain ends at is absent."""
+        u = check_word(self.poset, u)
+        w = check_word(self.poset, w)
+        if u == w:
+            return {w: 1}
+        out: dict[Embedding, int] = {}
+        for dec in self.critical_chains(u, w, max_chains):
+            eta = dec.chain.final_embedding
+            out[eta] = check_i64(out.get(eta, 0) + dec.sign(), "embedding_mus")
+        return out
+
     def per_embedding_mu(self, eta: Embedding, w: Word) -> int:
         """Morse contribution of the critical chains ending at the embedding eta."""
         w = check_word(self.poset, w)
-        u = restrict(eta)
         if not is_embedding(self.poset, eta, w):
             raise DomainError("eta is not an embedding in w")
-        if u == w:
-            return 1
-        total = sum(
-            dec.sign()
-            for dec in self.critical_chains(u, w)
-            if dec.chain.final_embedding == eta
-        )
-        return check_i64(total, "per_embedding_mu")
+        return self.embedding_mus(restrict(eta), w).get(eta, 0)
 
     # -- single-position MSI classification -----------------------------------
 
@@ -514,6 +534,14 @@ class MorseEngine:
             if self.is_si(one_letter, (i, k))
         ]
         return sis == [full] if rightmost else all(si == full for si in sis)
+
+
+@lru_cache(maxsize=4096)
+def _scan_sign(ends: tuple[int, ...]) -> int:
+    """(-1)^d for a chain whose carried scan is ends when it is critical of
+    dimension d, else 0; the scan alone decides it, so it is memoized."""
+    js, critical = j_construction(_msis_of_scan(list(ends)), 1, len(ends))
+    return (1 if len(js) % 2 else -1) if critical else 0
 
 
 def _msis_of_scan(ends: list[int]) -> list[IndexInterval]:

@@ -4,6 +4,13 @@ Morse agreement, Chebyshev coefficients and structural lemma checks.
 Each suite returns a :class:`SuiteResult`; failures carry a printable
 counterexample so callers can name the offending instance; the suites build
 its text only when the check fails.
+
+:func:`run_all` sweeps the posets one at a time.  For each it calls every
+poset suite on that poset alone, with one :class:`IntervalMemo` that holds,
+per w, the one [empty, w] diagram and the one formula table
+(:func:`mobius_main_below`) those suites share; the memo is dropped when the
+poset is done.  The per-poset results are merged suite by suite, in the
+suites' order.  The caps bound the shared builds and the Morse walks.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .mobius import (
     mobius_embedding_subposet,
     mobius_forest,
     mobius_main,
+    mobius_main_below,
 )
 from .morse import MorseEngine, j_construction
 from .poset import (
@@ -28,7 +36,14 @@ from .poset import (
     mobius_hat_chain_count,
     random_poset,
 )
-from .words import Word, build_interval, format_word
+from .words import (
+    DEFAULT_MAX_CHAINS,
+    DEFAULT_MAX_NODES,
+    IntervalDiagram,
+    Word,
+    build_interval,
+    format_word,
+)
 
 
 class SuiteResult:
@@ -48,6 +63,56 @@ class SuiteResult:
         self.checks += 1
         if not ok:
             self.failures.append(counterexample() if callable(counterexample) else counterexample)
+
+
+class IntervalMemo:
+    """What the suites of one sweep share: the caps and, per (poset, w), one
+    [empty, w] build and one formula table.
+
+    A formula table lists mu(u, w) over the diagram's nodes, in node order.
+    The node list and the table are kept, with each distinct word held once;
+    the diagram itself only for words of at most ``keep_len`` letters (every
+    word when None), so a sweep holds only the diagrams a later suite reads.
+    """
+
+    def __init__(
+        self,
+        max_nodes: int = DEFAULT_MAX_NODES,
+        max_chains: int = DEFAULT_MAX_CHAINS,
+        keep_len: int | None = None,
+    ):
+        self.max_nodes = max_nodes
+        self.max_chains = max_chains
+        self.keep_len = keep_len
+        self._diagrams: dict[tuple[FinitePoset, Word], IntervalDiagram] = {}
+        self._nodes: dict[tuple[FinitePoset, Word], list[Word]] = {}
+        self._words: dict[Word, Word] = {}
+        self._formulas: dict[tuple[FinitePoset, Word], list[int]] = {}
+
+    def diagram(self, poset: FinitePoset, w: Word) -> IntervalDiagram:
+        """The [empty, w] diagram; one not kept is built again if asked for again."""
+        key = (poset, w)
+        diagram = self._diagrams.get(key)
+        if diagram is None:
+            diagram = build_interval(poset, (), w, max_nodes=self.max_nodes)
+            held = self._words.setdefault
+            self._nodes[key] = [held(v, v) for v in diagram.nodes]
+            if self.keep_len is None or len(w) <= self.keep_len:
+                self._diagrams[key] = diagram
+        return diagram
+
+    def nodes(self, poset: FinitePoset, w: Word) -> list[Word]:
+        nodes = self._nodes.get((poset, w))
+        return self.diagram(poset, w).nodes if nodes is None else nodes
+
+    def formula(self, poset: FinitePoset, w: Word) -> list[int]:
+        """mu(u, w) for every node u of [empty, w], by the formula alone."""
+        key = (poset, w)
+        table = self._formulas.get(key)
+        if table is None:
+            table = list(mobius_main_below(poset, w, self.nodes(poset, w)).values())
+            self._formulas[key] = table
+        return table
 
 
 def resolve_posets(spec: str) -> list[tuple[str, FinitePoset]]:
@@ -83,15 +148,15 @@ def _pair_text(name: str, poset: FinitePoset, u: Word, w: Word) -> str:
 
 
 def run_oracle_equivalence(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int
+    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
 ) -> SuiteResult:
     """formula = oracle on every interval [u, w] with |w| <= max_w."""
+    memo = memo or IntervalMemo()
     result = SuiteResult("oracle-equivalence")
     for name, poset in posets:
         for w in all_words(poset, max_w):
-            oracle = build_interval(poset, (), w).mobius_to_top()
-            for u, mu in oracle.items():
-                got = mobius_main(poset, u, w).value
+            oracle = memo.diagram(poset, w).mobius_to_top()
+            for (u, mu), got in zip(oracle.items(), memo.formula(poset, w)):
                 result.record(
                     got == mu,
                     lambda: f"{_pair_text(name, poset, u, w)}: formula {got} != oracle {mu}",
@@ -100,15 +165,18 @@ def run_oracle_equivalence(
 
 
 def run_morse_agreement(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int
+    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
 ) -> SuiteResult:
     """Morse critical-chain sum = formula on every interval with |w| <= max_w."""
+    memo = memo or IntervalMemo()
     result = SuiteResult("morse-agreement")
     for name, poset in posets:
         engine = MorseEngine(poset)
         for w in all_words(poset, max_w):
-            for u, mu in engine.mobius_morse_below(w).items():
-                got = mobius_main(poset, u, w).value
+            morse = engine.mobius_morse_below(w, memo.max_nodes, memo.max_chains)
+            formula = dict(zip(memo.nodes(poset, w), memo.formula(poset, w)))
+            for u, mu in morse.items():
+                got = formula.get(u, 0)  # the formula's 0 off [empty, w]
                 result.record(
                     got == mu,
                     lambda: f"{_pair_text(name, poset, u, w)}: formula {got} != morse {mu}",
@@ -117,9 +185,10 @@ def run_morse_agreement(
 
 
 def run_specializations(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int
+    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
 ) -> SuiteResult:
     """Antichain and rooted-forest formulas agree with the main formula."""
+    memo = memo or IntervalMemo()
     result = SuiteResult("specialization-coherence")
     for name, poset in posets:
         antichain = poset.is_antichain()
@@ -127,8 +196,7 @@ def run_specializations(
         if not (antichain or forest):
             continue
         for w in all_words(poset, max_w):
-            for u in build_interval(poset, (), w).nodes:
-                expect = mobius_main(poset, u, w).value
+            for u, expect in zip(memo.nodes(poset, w), memo.formula(poset, w)):
                 if antichain:
                     got = mobius_bjorner(poset, u, w)
                     result.record(
@@ -164,7 +232,7 @@ def run_chebyshev(max_j: int = 5, s_values: tuple[int, ...] = (1, 2, 3)) -> Suit
 
 
 def run_lemmas(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int
+    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
 ) -> SuiteResult:
     """Structural checks on critical chains and skipped intervals.
 
@@ -173,16 +241,19 @@ def run_lemmas(
     chain comparison, a 1-descent is always a singleton MSI, and no MSI
     contains an ascent.
     """
+    memo = memo or IntervalMemo()
     result = SuiteResult("lemma-suite")
     for name, poset in posets:
         engine = MorseEngine(poset)
         for w in all_words(poset, max_w):
-            for u in build_interval(poset, (), w).nodes:
+            for u in memo.nodes(poset, w):
                 if u == w:
                     continue
                 where = lambda: _pair_text(name, poset, u, w)
-                context = engine.all_chains(u, w)
-                critical = dict.fromkeys(dec.chain for dec in engine.critical_chains(u, w))
+                context = engine.all_chains(u, w, memo.max_chains)
+                critical = dict.fromkeys(
+                    dec.chain for dec in engine.critical_chains(u, w, memo.max_chains)
+                )
                 brute_critical = set()
                 for chain in context.chains:
                     brute = tuple(engine.msis(chain, context))
@@ -234,12 +305,16 @@ def run_lemmas(
     return result
 
 
-def run_product_lemma(posets: Iterable[tuple[str, FinitePoset]]) -> SuiteResult:
+def run_product_lemma(
+    posets: Iterable[tuple[str, FinitePoset]], memo: IntervalMemo | None = None
+) -> SuiteResult:
     """Per-embedding Morse sums for the two embeddings of a in ab, a <= b.
 
     The 0a embedding contributes mu0(0,a) * mu0(a,b); the a0 embedding
     contributes mu0(0,b), plus 1 when a = b; together they give mu(a, ab).
+    Both are read from one walk of [a, ab].
     """
+    memo = memo or IntervalMemo()
     result = SuiteResult("product-lemma")
     for name, poset in posets:
         engine = MorseEngine(poset)
@@ -249,7 +324,8 @@ def run_product_lemma(posets: Iterable[tuple[str, FinitePoset]]) -> SuiteResult:
                     continue
                 w = (a, b)
                 where = lambda: f"{name} a={poset.names[a]} b={poset.names[b]}"
-                left = engine.per_embedding_mu((ZERO, a), w)
+                by_embedding = engine.embedding_mus((a,), w, memo.max_chains)
+                left = by_embedding.get((ZERO, a), 0)
                 product = poset.mu0(ZERO, a) * poset.mu0(a, b)
                 result.record(
                     left == product,
@@ -260,7 +336,7 @@ def run_product_lemma(posets: Iterable[tuple[str, FinitePoset]]) -> SuiteResult:
                     via_subposet == product,
                     lambda: f"{where()}: [0a,ab] subposet mu {via_subposet} != {product}",
                 )
-                right = engine.per_embedding_mu((a, ZERO), w)
+                right = by_embedding.get((a, ZERO), 0)
                 corollary = poset.mu0(ZERO, b) + (1 if a == b else 0)
                 result.record(
                     right == corollary,
@@ -275,7 +351,7 @@ def run_product_lemma(posets: Iterable[tuple[str, FinitePoset]]) -> SuiteResult:
 
 
 def run_inclusion_exclusion(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int
+    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
 ) -> SuiteResult:
     """mu(Q-hat) = mu(U-hat) + mu(V-hat) - mu((U cap V)-hat) for upper order
     ideals U, V of an open interval Q with U union V = Q.
@@ -284,10 +360,11 @@ def run_inclusion_exclusion(
     All four values come from the alternating chain-count expression, which
     reads <= from the up-sets of the [empty, w] diagram.
     """
+    memo = memo or IntervalMemo()
     result = SuiteResult("inclusion-exclusion")
     for name, poset in posets:
         for w in all_words(poset, max_w):
-            diagram = build_interval(poset, (), w)
+            diagram = memo.diagram(poset, w)
             nodes, top, up = diagram.nodes, diagram.index[w], diagram.up_sets()
             leq = lambda a, b: b in up[a]
             for iu, u in enumerate(nodes):
@@ -321,17 +398,38 @@ def run_all(
     max_w: int = 3,
     lemma_max_w: int = 2,
     chebyshev_max_j: int = 5,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_chains: int = DEFAULT_MAX_CHAINS,
 ) -> list[SuiteResult]:
+    """Every suite, one poset at a time with one memo each; the lemma and
+    inclusion-exclusion suites see only posets of at most 5 elements."""
     if min(max_w, lemma_max_w, chebyshev_max_j) < 0:
         raise InputError("verify word-length and Chebyshev bounds must not be negative")
-    posets = resolve_posets(poset_spec)
-    small = [(nm, p) for nm, p in posets if p.n <= 5]
-    return [
-        run_oracle_equivalence(posets, max_w),
-        run_morse_agreement(posets, max_w),
-        run_specializations(posets, max_w),
-        run_chebyshev(chebyshev_max_j),
-        run_lemmas(small, lemma_max_w),
-        run_product_lemma(posets),
-        run_inclusion_exclusion(small, lemma_max_w),
-    ]
+    columns: list[list[SuiteResult]] = [[] for _ in range(6)]
+    for name, poset in resolve_posets(poset_spec):
+        one = [(name, poset)]
+        small = one if poset.n <= 5 else []
+        # inclusion-exclusion reads the diagrams of the words it checks again
+        memo = IntervalMemo(max_nodes, max_chains, lemma_max_w if small else -1)
+        results = (
+            run_oracle_equivalence(one, max_w, memo),
+            run_morse_agreement(one, max_w, memo),
+            run_specializations(one, max_w, memo),
+            run_lemmas(small, lemma_max_w, memo),
+            run_product_lemma(one, memo),
+            run_inclusion_exclusion(small, lemma_max_w, memo),
+        )
+        for column, result in zip(columns, results):
+            column.append(result)
+    merged = [_merged(column) for column in columns]
+    merged.insert(3, run_chebyshev(chebyshev_max_j))
+    return merged
+
+
+def _merged(parts: list[SuiteResult]) -> SuiteResult:
+    """One suite's per-poset results as one, failures in poset order."""
+    out = SuiteResult(parts[0].name)
+    for part in parts:
+        out.checks += part.checks
+        out.failures += part.failures
+    return out

@@ -135,3 +135,25 @@ def test_verify_chebyshev_to_j30():
                 assert check.equal, (i, j, s, check)
                 checked += 1
     assert checked > 1000
+
+
+def test_tomie_T_is_computed_once_per_s_and_n():
+    # the verify suite and the chebyshev table ask for each T^s_n many times
+    tomie_T.cache_clear()
+    for n in range(8):
+        for i in range(n // 2 + 1):
+            assert verify_chebyshev(i, n - i, 3).equal
+    info = tomie_T.cache_info()
+    assert (info.misses, info.hits) == (8, sum(n // 2 + 1 for n in range(8)) - 8)
+    assert tomie_T(3, 7) is tomie_T(3, 7)
+    with pytest.raises(DomainError):
+        tomie_T(3, -1)
+
+
+def test_closed_forms_check_their_divisions():
+    # every quotient of the closed forms is exact; a remainder is reported
+    from subword.chebyshev import _exact
+
+    assert _exact(-12, 4, "t") == -3
+    with pytest.raises(IntegerOverflowError, match="t: non-integer coefficient -3/2"):
+        _exact(-6, 4, "t")

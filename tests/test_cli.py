@@ -321,3 +321,42 @@ def test_formula_overflow_exits_2(capsys):
 def test_verify_rejects_specs_that_check_nothing(capsys, flags):
     code, out, err = run(capsys, "verify", *flags)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+NODE_CAP = "error: interval would exceed the 5-node cap\n"
+CHAIN_CAP = "error: interval has more than 3 strictly decreasing chains\n"
+
+
+@pytest.mark.parametrize(
+    "caps, env, message",
+    [
+        (["--max-nodes", "5"], None, NODE_CAP),
+        ([], {"SUBWORD_MAX_NODES": "5"}, NODE_CAP),
+        (["--max-chains", "3"], None, CHAIN_CAP),
+        ([], {"SUBWORD_MAX_CHAINS": "3"}, CHAIN_CAP),
+    ],
+)
+def test_verify_enforces_the_caps(caps, env, message):
+    proc = _cli("verify", "--posets", "lambda", "--max-w", "3", *caps, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [
+        (["--max-nodes", "-5"], None),
+        (["--max-chains", "0"], None),
+        ([], {"SUBWORD_MAX_NODES": "abc"}),
+        ([], {"SUBWORD_MAX_CHAINS": "1.5"}),
+    ],
+)
+def test_verify_rejects_bad_caps(capsys, monkeypatch, flags, env):
+    for name, value in (env or {}).items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "verify", "--posets", "lambda", "--max-w", "1", *flags)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_verify_caps_large_enough_change_nothing(capsys):
+    argv = ["verify", "--posets", "lambda", "--max-w", "2"]
+    assert run(capsys, *argv, "--max-nodes", "13", "--max-chains", "40") == run(capsys, *argv)

@@ -7,6 +7,9 @@ from subword import (
     AugmentedPoset,
     DomainError,
     FinitePoset,
+    InputError,
+    IntegerOverflowError,
+    ResourceLimitError,
     UnsupportedPosetError,
     ZERO,
     build_interval,
@@ -24,6 +27,7 @@ from subword import (
     mobius_embedding_subposet,
     mobius_forest,
     mobius_main,
+    mobius_main_below,
     mobius_oracle,
     normal_embeddings_antichain,
     parse_word,
@@ -34,6 +38,7 @@ from subword import mobius as mobius_module
 from subword.morse import MorseEngine
 from subword.poset import random_poset
 from subword.verify import all_words
+from subword.words import interval_covers
 
 
 def emb(poset, text):
@@ -318,6 +323,38 @@ def test_formula_oracle_random_sweep():
                 oracle = build_interval(poset, (), w).mobius_to_top()
                 for u, mu in oracle.items():
                     assert mobius_main(poset, u, w).value == mu
+
+
+def test_formula_table_matches_pointwise_formula():
+    # every [u, w] with |w| <= 3 over the five built-ins (fig3 |w| <= 2) and
+    # random posets 0-29: the table has exactly the elements of [∅, w], and
+    # reading it from the diagram's node order or its own search agrees
+    posets = [builtin_poset(name) for name in ("lambda", "lambda:3", "chain:3", "antichain:3")]
+    posets += [random_poset(seed) for seed in range(30)]
+    checked = 0
+    for poset, max_w in [(p, 3) for p in posets] + [(builtin_poset("fig3"), 2)]:
+        for w in all_words(poset, max_w):
+            table = mobius_main_below(poset, w)
+            assert table.keys() == interval_covers(poset, (), w, 10**6).keys()
+            assert mobius_main_below(poset, w, build_interval(poset, (), w).nodes) == table
+            for u, value in table.items():
+                assert mobius_main(poset, u, w).value == value, (u, w)
+            checked += len(table)
+    assert checked == 29729
+
+
+def test_formula_table_caps_and_checks(lam):
+    w = parse_word(lam, "33333")
+    assert mobius_main_below(lam, w)[parse_word(lam, "1")] == mobius_main(lam, (0,), w).value
+    with pytest.raises(ResourceLimitError):
+        mobius_main_below(lam, w, max_nodes=5)
+    with pytest.raises(InputError):
+        mobius_main_below(lam, (7,))
+    # exact ints inside, each value i64-checked: [∅, 3^60] holds mu(1^30, 3^60)
+    big = (2,) * 60
+    words = [(0,) * k for k in range(31)]
+    with pytest.raises(IntegerOverflowError):
+        mobius_main_below(lam, big, words)
 
 
 def _enumerated(poset, u, w):

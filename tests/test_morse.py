@@ -543,6 +543,38 @@ def test_per_embedding_mu(lam, fig3):
     assert eng.per_embedding_mu((one, one, ZERO), parse_word(lam, "333")) == 2
 
 
+def test_embeddings_share_one_critical_chain_walk(lam, monkeypatch):
+    # lambda [1, 3^8]: its 8 embeddings' contributions come from one walk
+    eng = MorseEngine(lam)
+    walks = []
+    real = MorseEngine.critical_chains
+
+    def counted(self, *args, **kwargs):
+        walks.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MorseEngine, "critical_chains", counted)
+    u, w = parse_word(lam, "1"), parse_word(lam, "3" * 8)
+    by_embedding = eng.embedding_mus(u, w)
+    assert sum(by_embedding.get(eta, 0) for eta in embeddings(lam, u, w)) == -576
+    assert len(walks) == 1
+    assert set(by_embedding) <= set(embeddings(lam, u, w))
+    assert eng.embedding_mus(w, w) == {w: 1}
+
+
+def test_mobius_morse_below_enforces_its_caps(lam):
+    eng = MorseEngine(lam)
+    w = parse_word(lam, "333")
+    table = eng.mobius_morse_below(w)
+    assert eng.mobius_morse_below(w, max_nodes=len(table)) == table
+    with pytest.raises(ResourceLimitError, match="5-node cap"):
+        eng.mobius_morse_below(w, max_nodes=5)
+    walked = sum(1 for _ in eng._chains(w, None, decreasing=True))
+    assert eng.mobius_morse_below(w, max_chains=walked) == table
+    with pytest.raises(ResourceLimitError, match=f"more than {walked - 1} strictly"):
+        eng.mobius_morse_below(w, max_chains=walked - 1)
+
+
 def test_per_embedding_mu_matches_contribution(lam, fig3):
     for poset, pairs in [
         (lam, [("333", "11"), ("332", "2"), ("333", "")]),

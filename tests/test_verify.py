@@ -67,16 +67,12 @@ def test_run_all_check_counts_are_pinned():
 
 def test_injected_fault_is_named(lam, monkeypatch):
     # a flipped sign must surface as a counterexample naming the interval
-    real = verify.mobius_main
+    real = verify.mobius_main_below
 
-    def flipped(poset, u, w):
-        report = real(poset, u, w)
-        return type(report)(
-            poset, report.u, report.w, -report.value if report.value else 1,
-            report.method, report.per_embedding, report.comparable,
-        )
+    def flipped(*args, **kwargs):
+        return {u: -value if value else 1 for u, value in real(*args, **kwargs).items()}
 
-    monkeypatch.setattr(verify, "mobius_main", flipped)
+    monkeypatch.setattr(verify, "mobius_main_below", flipped)
     result = run_oracle_equivalence([("lambda", lam)], 1)
     assert result.checks == 9
     assert result.failures == [
@@ -89,6 +85,83 @@ def test_injected_fault_is_named(lam, monkeypatch):
         'lambda [1, 3]: formula 1 != oracle -1',
         'lambda [2, 3]: formula 1 != oracle -1',
         'lambda [3, 3]: formula -1 != oracle 1',
+    ]
+
+
+def test_injected_morse_fault_is_named(lam, monkeypatch):
+    # a Morse table off by one on one-letter bottoms; the failures below were
+    # recorded before the suite read the formula from a shared table
+    real = MorseEngine.mobius_morse_below
+
+    def off_by_one(self, w, *caps):
+        return {u: mu + 1 if len(u) == 1 else mu for u, mu in real(self, w, *caps).items()}
+
+    monkeypatch.setattr(MorseEngine, "mobius_morse_below", off_by_one)
+    result = run_morse_agreement([("lambda", lam)], 2)
+    assert result.checks == 64
+    assert result.failures == [
+        'lambda [1, 1]: formula 1 != morse 2',
+        'lambda [2, 2]: formula 1 != morse 2',
+        'lambda [1, 3]: formula -1 != morse 0',
+        'lambda [2, 3]: formula -1 != morse 0',
+        'lambda [3, 3]: formula 1 != morse 2',
+        'lambda [1, 11]: formula -1 != morse 0',
+        'lambda [2, 12]: formula -1 != morse 0',
+        'lambda [1, 12]: formula -1 != morse 0',
+        'lambda [3, 13]: formula -1 != morse 0',
+        'lambda [1, 13]: formula 2 != morse 3',
+        'lambda [2, 13]: formula 1 != morse 2',
+        'lambda [1, 21]: formula -1 != morse 0',
+        'lambda [2, 21]: formula -1 != morse 0',
+        'lambda [2, 22]: formula -1 != morse 0',
+        'lambda [3, 23]: formula -1 != morse 0',
+        'lambda [1, 23]: formula 1 != morse 2',
+        'lambda [2, 23]: formula 2 != morse 3',
+        'lambda [1, 31]: formula 2 != morse 3',
+        'lambda [3, 31]: formula -1 != morse 0',
+        'lambda [2, 31]: formula 1 != morse 2',
+        'lambda [2, 32]: formula 2 != morse 3',
+        'lambda [3, 32]: formula -1 != morse 0',
+        'lambda [1, 32]: formula 1 != morse 2',
+        'lambda [3, 33]: formula 3 != morse 4',
+        'lambda [1, 33]: formula -3 != morse -2',
+        'lambda [2, 33]: formula -3 != morse -2',
+    ]
+
+
+def test_run_all_shares_one_build_and_one_table_per_w(monkeypatch):
+    # each [∅, w] is built once, and its formula table read by three suites
+    calls = {"build_interval": 0, "mobius_main_below": 0}
+    for name in calls:
+        real = getattr(verify, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    results = run_all("lambda,chain:2", 2)
+    assert all(r.passed for r in results)
+    assert calls == {"build_interval": 13 + 7, "mobius_main_below": 13 + 7}
+
+
+def test_run_all_merges_failures_in_poset_order(monkeypatch):
+    # one call per poset; each suite's failures keep the order of the posets
+    real = verify.mobius_main_below
+
+    def flipped(*args, **kwargs):
+        return {u: -value if value else 1 for u, value in real(*args, **kwargs).items()}
+
+    monkeypatch.setattr(verify, "mobius_main_below", flipped)
+    oracle = run_all("chain:1,antichain:1", 1)[0]
+    assert oracle.checks == 6
+    assert oracle.failures == [
+        'chain:1 [∅, ∅]: formula -1 != oracle 1',
+        'chain:1 [∅, 1]: formula 1 != oracle -1',
+        'chain:1 [1, 1]: formula -1 != oracle 1',
+        'antichain:1 [∅, ∅]: formula -1 != oracle 1',
+        'antichain:1 [∅, 1]: formula 1 != oracle -1',
+        'antichain:1 [1, 1]: formula -1 != oracle 1',
     ]
 
 
