@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DomainError, UnsupportedPosetError, check_i64
+from .errors import DomainError, InputError, UnsupportedPosetError, check_i64
 from .poset import ZERO, AugmentedPoset, FinitePoset, mobius_hat_chain_count
 from .words import (
     DEFAULT_MAX_NODES,
@@ -158,7 +158,9 @@ def mobius_main_below(
     of u over the positions of w is its parent prefix's column extended by
     u's last letter, at O(|w|) per u.  ``words`` lists [empty, w] with each
     word after its parent prefix (shortest first, as the interval's node
-    order does); by default it is searched here under ``max_nodes``.
+    order does); by default it is searched here under ``max_nodes``.  A word
+    listed before its parent prefix, or ending in a letter not of P, is an
+    :class:`InputError`, so each letter of each word is checked once.
     """
     w = check_word(poset, w)
     if words is None:
@@ -173,9 +175,13 @@ def mobius_main_below(
     table: dict[Word, int] = {}
     for u in words:
         if u:
-            parent, x = columns[u[:-1]], u[-1]
+            parent, x = columns.get(u[:-1]), u[-1]
+            if parent is None:
+                raise InputError(f"word {u!r} comes before its parent prefix")
             factor = factors.get(x)
             if factor is None:
+                if not 0 <= x < poset.n:  # the adjoined zero too
+                    raise InputError(f"word {u!r} ends in {x!r}, not an element of P")
                 factor = factors[x] = [mu0(x, b) if b in above[x] else 0 for b in w]
             column = [0]
             for j, skip in enumerate(skips):

@@ -36,7 +36,10 @@ class FinitePoset:
 
     ``above[a]`` (the elements b with a <= b) and ``covers_below[b]`` (the
     elements covered by b, in id order) are precomputed for inner loops that
-    index them with ids already checked by :meth:`check_element`.
+    index them with ids already checked by :meth:`check_element`, as are
+    ``labels[x]`` (the natural label 1..n of x in the linear extension that
+    takes the smallest available id first) and ``ranks[x]`` (the length of a
+    longest chain from a minimal element up to x).
     """
 
     def __init__(self, names: Sequence[str], covers: Iterable[tuple[int, int]]):
@@ -60,17 +63,24 @@ class FinitePoset:
         for a, b in cov:
             self._upper[a].add(b)
             self._lower[b].add(a)
-        self.above = self._reachability()
+        order = self._topo_order()
+        self.above = self._reachability(order)
         self.covers_below = tuple(tuple(sorted(s)) for s in self._lower)
+        labels = [0] * self.n
+        ranks = [0] * self.n
+        for pos, x in enumerate(order):
+            labels[x] = pos + 1
+            ranks[x] = max((ranks[a] + 1 for a in self._lower[x]), default=0)
+        self.labels = tuple(labels)
+        self.ranks = tuple(ranks)
         self._validate_reduced()
         self._name_to_id = {nm: i for i, nm in enumerate(self.names)}
         self._mu0: dict[tuple[int, int], int] = {}
 
     # -- construction helpers -------------------------------------------------
 
-    def _reachability(self) -> tuple[frozenset[int], ...]:
-        """up[a] = {b : a <= b}; raises on a cycle."""
-        order = self._topo_order()
+    def _reachability(self, order: list[int]) -> tuple[frozenset[int], ...]:
+        """up[a] = {b : a <= b}, from a linear extension."""
         up: list[set[int]] = [set() for _ in range(self.n)]
         for a in reversed(order):
             s = {a}
@@ -161,19 +171,10 @@ class FinitePoset:
 
     def rank_element(self, x: int) -> int:
         """Length of a longest chain from a minimal element up to x."""
-        self.check_element(x)
-        return self._ranks()[x]
+        return self.ranks[self.check_element(x)]
 
     def rank_poset(self) -> int:
-        return max(self._ranks(), default=0)
-
-    def _ranks(self) -> list[int]:
-        if not hasattr(self, "_rank_cache"):
-            ranks = [0] * self.n
-            for x in self._topo_order():
-                ranks[x] = max((ranks[a] + 1 for a in self._lower[x]), default=0)
-            self._rank_cache = ranks
-        return self._rank_cache
+        return max(self.ranks, default=0)
 
     def id_of(self, name: str) -> int:
         try:
@@ -265,10 +266,17 @@ class AugmentedPoset:
 
 
 class NaturalLabeling:
-    """An order-preserving injection of P into 1..n, with label(ZERO)=0."""
+    """An order-preserving injection of P into 1..n, with label(ZERO)=0.
+
+    By default it is the poset's own ``labels``; an explicit order is checked.
+    """
 
     def __init__(self, poset: FinitePoset, order: Sequence[int] | None = None):
-        order = list(poset._topo_order() if order is None else order)
+        self.poset = poset
+        self.labels = poset.labels  # label of each id, read unchecked by inner loops
+        if order is None:
+            return
+        order = list(order)
         if sorted(order) != list(range(poset.n)):
             raise InputError("labeling order must be a permutation of element ids")
         labels = [0] * poset.n
@@ -277,8 +285,7 @@ class NaturalLabeling:
         for a, b in poset.covers:
             if labels[a] >= labels[b]:
                 raise InputError("labeling order is not a linear extension")
-        self.poset = poset
-        self.labels = tuple(labels)  # label of each id, read unchecked by inner loops
+        self.labels = tuple(labels)
 
     def __call__(self, x: int) -> int:
         if x == ZERO:

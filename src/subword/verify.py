@@ -5,18 +5,20 @@ Each suite returns a :class:`SuiteResult`; failures carry a printable
 counterexample so callers can name the offending instance; the suites build
 its text only when the check fails.
 
-:func:`run_all` sweeps the posets one at a time.  For each it calls every
-poset suite on that poset alone, with one :class:`IntervalMemo` that holds,
-per w, the one [empty, w] diagram and the one formula table
-(:func:`mobius_main_below`) those suites share; the memo is dropped when the
-poset is done.  The per-poset results are merged suite by suite, in the
-suites' order.  The caps bound the shared builds and the Morse walks.
+:func:`sweep` yields one :class:`Interval` per (poset, w): the one [empty, w]
+diagram, the one formula table (:func:`mobius_main_below`) and the poset's
+Morse engine.  The interval suites each check the records they are given, so
+:func:`run_all` passes every record of a poset's sweep to each suite in turn,
+or none where w is past that suite's bound, and the record goes with its w.
+The per-record results are merged suite by suite, in the suites' order.  The
+caps bound the builds and the Morse walks, so when both would trip, the first
+interval of the sweep to reach one names it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .chebyshev import chebyshev_T, chebyshev_T_closed, verify_chebyshev
 from .errors import InputError
@@ -65,54 +67,29 @@ class SuiteResult:
             self.failures.append(counterexample() if callable(counterexample) else counterexample)
 
 
-class IntervalMemo:
-    """What the suites of one sweep share: the caps and, per (poset, w), one
-    [empty, w] build and one formula table.
+class Interval(NamedTuple):
+    """One step of a sweep: [empty, w] over one poset, with mu(u, w) for each
+    node u by the formula alone, in node order."""
 
-    A formula table lists mu(u, w) over the diagram's nodes, in node order.
-    The node list and the table are kept, with each distinct word held once;
-    the diagram itself only for words of at most ``keep_len`` letters (every
-    word when None), so a sweep holds only the diagrams a later suite reads.
-    """
+    name: str
+    poset: FinitePoset
+    engine: MorseEngine
+    w: Word
+    diagram: IntervalDiagram
+    formula: dict[Word, int]
 
-    def __init__(
-        self,
-        max_nodes: int = DEFAULT_MAX_NODES,
-        max_chains: int = DEFAULT_MAX_CHAINS,
-        keep_len: int | None = None,
-    ):
-        self.max_nodes = max_nodes
-        self.max_chains = max_chains
-        self.keep_len = keep_len
-        self._diagrams: dict[tuple[FinitePoset, Word], IntervalDiagram] = {}
-        self._nodes: dict[tuple[FinitePoset, Word], list[Word]] = {}
-        self._words: dict[Word, Word] = {}
-        self._formulas: dict[tuple[FinitePoset, Word], list[int]] = {}
 
-    def diagram(self, poset: FinitePoset, w: Word) -> IntervalDiagram:
-        """The [empty, w] diagram; one not kept is built again if asked for again."""
-        key = (poset, w)
-        diagram = self._diagrams.get(key)
-        if diagram is None:
-            diagram = build_interval(poset, (), w, max_nodes=self.max_nodes)
-            held = self._words.setdefault
-            self._nodes[key] = [held(v, v) for v in diagram.nodes]
-            if self.keep_len is None or len(w) <= self.keep_len:
-                self._diagrams[key] = diagram
-        return diagram
-
-    def nodes(self, poset: FinitePoset, w: Word) -> list[Word]:
-        nodes = self._nodes.get((poset, w))
-        return self.diagram(poset, w).nodes if nodes is None else nodes
-
-    def formula(self, poset: FinitePoset, w: Word) -> list[int]:
-        """mu(u, w) for every node u of [empty, w], by the formula alone."""
-        key = (poset, w)
-        table = self._formulas.get(key)
-        if table is None:
-            table = list(mobius_main_below(poset, w, self.nodes(poset, w)).values())
-            self._formulas[key] = table
-        return table
+def sweep(
+    posets: Iterable[tuple[str, FinitePoset]], max_w: int, max_nodes: int = DEFAULT_MAX_NODES
+) -> Iterator[Interval]:
+    """One :class:`Interval` per poset and word w with |w| <= max_w, shortest
+    first; each poset's records share one Morse engine."""
+    for name, poset in posets:
+        engine = MorseEngine(poset)
+        for w in all_words(poset, max_w):
+            diagram = build_interval(poset, (), w, max_nodes=max_nodes)
+            formula = mobius_main_below(poset, w, diagram.nodes)
+            yield Interval(name, poset, engine, w, diagram, formula)
 
 
 def resolve_posets(spec: str) -> list[tuple[str, FinitePoset]]:
@@ -147,68 +124,58 @@ def _pair_text(name: str, poset: FinitePoset, u: Word, w: Word) -> str:
     return f"{name} [{format_word(poset, u)}, {format_word(poset, w)}]"
 
 
-def run_oracle_equivalence(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
-) -> SuiteResult:
-    """formula = oracle on every interval [u, w] with |w| <= max_w."""
-    memo = memo or IntervalMemo()
+def run_oracle_equivalence(intervals: Iterable[Interval]) -> SuiteResult:
+    """formula = oracle on every [u, w] of the given [empty, w]."""
     result = SuiteResult("oracle-equivalence")
-    for name, poset in posets:
-        for w in all_words(poset, max_w):
-            oracle = memo.diagram(poset, w).mobius_to_top()
-            for (u, mu), got in zip(oracle.items(), memo.formula(poset, w)):
-                result.record(
-                    got == mu,
-                    lambda: f"{_pair_text(name, poset, u, w)}: formula {got} != oracle {mu}",
-                )
+    for name, poset, _, w, diagram, formula in intervals:
+        oracle = diagram.mobius_to_top()
+        for (u, mu), got in zip(oracle.items(), formula.values()):
+            result.record(
+                got == mu,
+                lambda: f"{_pair_text(name, poset, u, w)}: formula {got} != oracle {mu}",
+            )
     return result
 
 
 def run_morse_agreement(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
+    intervals: Iterable[Interval],
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_chains: int = DEFAULT_MAX_CHAINS,
 ) -> SuiteResult:
-    """Morse critical-chain sum = formula on every interval with |w| <= max_w."""
-    memo = memo or IntervalMemo()
+    """Morse critical-chain sum = formula on every [u, w] of the given [empty, w]."""
     result = SuiteResult("morse-agreement")
-    for name, poset in posets:
-        engine = MorseEngine(poset)
-        for w in all_words(poset, max_w):
-            morse = engine.mobius_morse_below(w, memo.max_nodes, memo.max_chains)
-            formula = dict(zip(memo.nodes(poset, w), memo.formula(poset, w)))
-            for u, mu in morse.items():
-                got = formula.get(u, 0)  # the formula's 0 off [empty, w]
-                result.record(
-                    got == mu,
-                    lambda: f"{_pair_text(name, poset, u, w)}: formula {got} != morse {mu}",
-                )
+    for name, poset, engine, w, _, formula in intervals:
+        morse = engine.mobius_morse_below(w, max_nodes, max_chains)
+        for u, mu in morse.items():
+            got = formula.get(u, 0)  # the formula's 0 off [empty, w]
+            result.record(
+                got == mu,
+                lambda: f"{_pair_text(name, poset, u, w)}: formula {got} != morse {mu}",
+            )
     return result
 
 
-def run_specializations(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
-) -> SuiteResult:
+def run_specializations(intervals: Iterable[Interval]) -> SuiteResult:
     """Antichain and rooted-forest formulas agree with the main formula."""
-    memo = memo or IntervalMemo()
     result = SuiteResult("specialization-coherence")
-    for name, poset in posets:
+    for name, poset, _, w, _, formula in intervals:
         antichain = poset.is_antichain()
         forest = poset.is_rooted_forest()
         if not (antichain or forest):
             continue
-        for w in all_words(poset, max_w):
-            for u, expect in zip(memo.nodes(poset, w), memo.formula(poset, w)):
-                if antichain:
-                    got = mobius_bjorner(poset, u, w)
-                    result.record(
-                        got == expect,
-                        lambda: f"{_pair_text(name, poset, u, w)}: antichain {got} != {expect}",
-                    )
-                if forest:
-                    got = mobius_forest(poset, u, w)
-                    result.record(
-                        got == expect,
-                        lambda: f"{_pair_text(name, poset, u, w)}: forest {got} != {expect}",
-                    )
+        for u, expect in formula.items():
+            if antichain:
+                got = mobius_bjorner(poset, u, w)
+                result.record(
+                    got == expect,
+                    lambda: f"{_pair_text(name, poset, u, w)}: antichain {got} != {expect}",
+                )
+            if forest:
+                got = mobius_forest(poset, u, w)
+                result.record(
+                    got == expect,
+                    lambda: f"{_pair_text(name, poset, u, w)}: forest {got} != {expect}",
+                )
     return result
 
 
@@ -231,9 +198,7 @@ def run_chebyshev(max_j: int = 5, s_values: tuple[int, ...] = (1, 2, 3)) -> Suit
     return result
 
 
-def run_lemmas(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
-) -> SuiteResult:
+def run_lemmas(intervals: Iterable[Interval], max_chains: int = DEFAULT_MAX_CHAINS) -> SuiteResult:
     """Structural checks on critical chains and skipped intervals.
 
     Per interval (small scale, brute force): critical chains carry strictly
@@ -241,72 +206,69 @@ def run_lemmas(
     chain comparison, a 1-descent is always a singleton MSI, and no MSI
     contains an ascent.
     """
-    memo = memo or IntervalMemo()
     result = SuiteResult("lemma-suite")
-    for name, poset in posets:
-        engine = MorseEngine(poset)
-        for w in all_words(poset, max_w):
-            for u in memo.nodes(poset, w):
-                if u == w:
-                    continue
-                where = lambda: _pair_text(name, poset, u, w)
-                context = engine.all_chains(u, w, memo.max_chains)
-                critical = dict.fromkeys(
-                    dec.chain for dec in engine.critical_chains(u, w, memo.max_chains)
+    for name, poset, engine, w, diagram, _ in intervals:
+        for u in diagram.nodes:
+            if u == w:
+                continue
+            where = lambda: _pair_text(name, poset, u, w)
+            context = engine.all_chains(u, w, max_chains)
+            critical = dict.fromkeys(
+                dec.chain for dec in engine.critical_chains(u, w, max_chains)
+            )
+            brute_critical = set()
+            for chain in context.chains:
+                brute = tuple(engine.msis(chain, context))
+                fast = tuple(engine.msis_direct(chain))
+                result.record(
+                    brute == fast,
+                    lambda: f"{where()} chain {chain.describe()}: MSI sets differ "
+                    f"(brute {brute}, fast {fast})",
                 )
-                brute_critical = set()
-                for chain in context.chains:
-                    brute = tuple(engine.msis(chain, context))
-                    fast = tuple(engine.msis_direct(chain))
-                    result.record(
-                        brute == fast,
-                        lambda: f"{where()} chain {chain.describe()}: MSI sets differ "
-                        f"(brute {brute}, fast {fast})",
+                lo, hi = chain.open_range()
+                keys = [engine.label_key(l) for l in chain.labels]
+                for k in range(lo, hi + 1):
+                    if keys[k][0] < keys[k - 1][0]:  # 1-descent at k
+                        result.record(
+                            (k, k) in brute,
+                            lambda: f"{where()} chain {chain.describe()}: 1-descent at "
+                            f"{k} is not a singleton MSI",
+                        )
+                for a, b in brute:
+                    ascent_free = all(
+                        keys[k][0] <= keys[k - 1][0] for k in range(a, b + 1)
                     )
-                    lo, hi = chain.open_range()
-                    keys = [engine.label_key(l) for l in chain.labels]
-                    for k in range(lo, hi + 1):
-                        if keys[k][0] < keys[k - 1][0]:  # 1-descent at k
-                            result.record(
-                                (k, k) in brute,
-                                lambda: f"{where()} chain {chain.describe()}: 1-descent at "
-                                f"{k} is not a singleton MSI",
-                            )
-                    for a, b in brute:
-                        ascent_free = all(
-                            keys[k][0] <= keys[k - 1][0] for k in range(a, b + 1)
-                        )
-                        result.record(
-                            ascent_free,
-                            lambda: f"{where()} chain {chain.describe()}: MSI ({a},{b}) "
-                            "contains an ascent",
-                        )
-                    if j_construction(brute, lo, hi)[1]:  # critical by brute force
-                        brute_critical.add(chain)
-                        strictly_decreasing = all(
-                            keys[k] < keys[k - 1] for k in range(1, len(keys))
-                        )
-                        result.record(
-                            strictly_decreasing,
-                            lambda: f"{where()} critical chain {chain.describe()}: labels "
-                            "are not strictly decreasing",
-                        )
-                        result.record(
-                            chain in critical,
-                            lambda: f"{where()} chain {chain.describe()}: critical by brute "
-                            "force but missed by the fast path",
-                        )
-                for chain in critical:
                     result.record(
-                        chain in brute_critical,
-                        lambda: f"{where()} chain {chain.describe()}: critical by the fast "
-                        "path but not by brute force",
+                        ascent_free,
+                        lambda: f"{where()} chain {chain.describe()}: MSI ({a},{b}) "
+                        "contains an ascent",
                     )
+                if j_construction(brute, lo, hi)[1]:  # critical by brute force
+                    brute_critical.add(chain)
+                    strictly_decreasing = all(
+                        keys[k] < keys[k - 1] for k in range(1, len(keys))
+                    )
+                    result.record(
+                        strictly_decreasing,
+                        lambda: f"{where()} critical chain {chain.describe()}: labels "
+                        "are not strictly decreasing",
+                    )
+                    result.record(
+                        chain in critical,
+                        lambda: f"{where()} chain {chain.describe()}: critical by brute "
+                        "force but missed by the fast path",
+                    )
+            for chain in critical:
+                result.record(
+                    chain in brute_critical,
+                    lambda: f"{where()} chain {chain.describe()}: critical by the fast "
+                    "path but not by brute force",
+                )
     return result
 
 
 def run_product_lemma(
-    posets: Iterable[tuple[str, FinitePoset]], memo: IntervalMemo | None = None
+    posets: Iterable[tuple[str, FinitePoset]], max_chains: int = DEFAULT_MAX_CHAINS
 ) -> SuiteResult:
     """Per-embedding Morse sums for the two embeddings of a in ab, a <= b.
 
@@ -314,7 +276,6 @@ def run_product_lemma(
     contributes mu0(0,b), plus 1 when a = b; together they give mu(a, ab).
     Both are read from one walk of [a, ab].
     """
-    memo = memo or IntervalMemo()
     result = SuiteResult("product-lemma")
     for name, poset in posets:
         engine = MorseEngine(poset)
@@ -324,7 +285,7 @@ def run_product_lemma(
                     continue
                 w = (a, b)
                 where = lambda: f"{name} a={poset.names[a]} b={poset.names[b]}"
-                by_embedding = engine.embedding_mus((a,), w, memo.max_chains)
+                by_embedding = engine.embedding_mus((a,), w, max_chains)
                 left = by_embedding.get((ZERO, a), 0)
                 product = poset.mu0(ZERO, a) * poset.mu0(a, b)
                 result.record(
@@ -350,9 +311,7 @@ def run_product_lemma(
     return result
 
 
-def run_inclusion_exclusion(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int, memo: IntervalMemo | None = None
-) -> SuiteResult:
+def run_inclusion_exclusion(intervals: Iterable[Interval]) -> SuiteResult:
     """mu(Q-hat) = mu(U-hat) + mu(V-hat) - mu((U cap V)-hat) for upper order
     ideals U, V of an open interval Q with U union V = Q.
 
@@ -360,36 +319,33 @@ def run_inclusion_exclusion(
     All four values come from the alternating chain-count expression, which
     reads <= from the up-sets of the [empty, w] diagram.
     """
-    memo = memo or IntervalMemo()
     result = SuiteResult("inclusion-exclusion")
-    for name, poset in posets:
-        for w in all_words(poset, max_w):
-            diagram = memo.diagram(poset, w)
-            nodes, top, up = diagram.nodes, diagram.index[w], diagram.up_sets()
-            leq = lambda a, b: b in up[a]
-            for iu, u in enumerate(nodes):
-                if iu == top:
-                    continue
-                open_nodes = sorted(up[iu] - {iu, top})
-                if not open_nodes:
-                    continue
-                whole = mobius_hat_chain_count(open_nodes, leq)
-                for seed in open_nodes:
-                    upper = [v for v in open_nodes if v in up[seed]]
-                    rest = [v for v in open_nodes if v not in up[seed]]
-                    v_ideal = set().union(*(up[r] for r in rest)) - {top}
-                    both = [v for v in upper if v in v_ideal]
-                    got = (
-                        mobius_hat_chain_count(upper, leq)
-                        + mobius_hat_chain_count(v_ideal, leq)
-                        - mobius_hat_chain_count(both, leq)
-                    )
-                    result.record(
-                        got == whole,
-                        lambda: f"{_pair_text(name, poset, u, w)} seed "
-                        f"{format_word(poset, nodes[seed])}: "
-                        f"inclusion-exclusion {got} != {whole}",
-                    )
+    for name, poset, _, w, diagram, _ in intervals:
+        nodes, top, up = diagram.nodes, diagram.index[w], diagram.up_sets()
+        leq = lambda a, b: b in up[a]
+        for iu, u in enumerate(nodes):
+            if iu == top:
+                continue
+            open_nodes = sorted(up[iu] - {iu, top})
+            if not open_nodes:
+                continue
+            whole = mobius_hat_chain_count(open_nodes, leq)
+            for seed in open_nodes:
+                upper = [v for v in open_nodes if v in up[seed]]
+                rest = [v for v in open_nodes if v not in up[seed]]
+                v_ideal = set().union(*(up[r] for r in rest)) - {top}
+                both = [v for v in upper if v in v_ideal]
+                got = (
+                    mobius_hat_chain_count(upper, leq)
+                    + mobius_hat_chain_count(v_ideal, leq)
+                    - mobius_hat_chain_count(both, leq)
+                )
+                result.record(
+                    got == whole,
+                    lambda: f"{_pair_text(name, poset, u, w)} seed "
+                    f"{format_word(poset, nodes[seed])}: "
+                    f"inclusion-exclusion {got} != {whole}",
+                )
     return result
 
 
@@ -401,33 +357,31 @@ def run_all(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_chains: int = DEFAULT_MAX_CHAINS,
 ) -> list[SuiteResult]:
-    """Every suite, one poset at a time with one memo each; the lemma and
-    inclusion-exclusion suites see only posets of at most 5 elements."""
+    """Every suite, over one sweep per poset; the lemma and inclusion-exclusion
+    suites see only posets of at most 5 elements."""
     if min(max_w, lemma_max_w, chebyshev_max_j) < 0:
         raise InputError("verify word-length and Chebyshev bounds must not be negative")
     columns: list[list[SuiteResult]] = [[] for _ in range(6)]
+    oracle, morse, special, lemmas, product, incexc = columns
     for name, poset in resolve_posets(poset_spec):
-        one = [(name, poset)]
-        small = one if poset.n <= 5 else []
-        # inclusion-exclusion reads the diagrams of the words it checks again
-        memo = IntervalMemo(max_nodes, max_chains, lemma_max_w if small else -1)
-        results = (
-            run_oracle_equivalence(one, max_w, memo),
-            run_morse_agreement(one, max_w, memo),
-            run_specializations(one, max_w, memo),
-            run_lemmas(small, lemma_max_w, memo),
-            run_product_lemma(one, memo),
-            run_inclusion_exclusion(small, lemma_max_w, memo),
-        )
-        for column, result in zip(columns, results):
-            column.append(result)
+        small = poset.n <= 5
+        bound = max(max_w, lemma_max_w) if small else max_w
+        for interval in sweep([(name, poset)], bound, max_nodes):
+            wide = [interval] if len(interval.w) <= max_w else []
+            narrow = [interval] if small and len(interval.w) <= lemma_max_w else []
+            oracle.append(run_oracle_equivalence(wide))
+            morse.append(run_morse_agreement(wide, max_nodes, max_chains))
+            special.append(run_specializations(wide))
+            lemmas.append(run_lemmas(narrow, max_chains))
+            incexc.append(run_inclusion_exclusion(narrow))
+        product.append(run_product_lemma([(name, poset)], max_chains))
     merged = [_merged(column) for column in columns]
     merged.insert(3, run_chebyshev(chebyshev_max_j))
     return merged
 
 
 def _merged(parts: list[SuiteResult]) -> SuiteResult:
-    """One suite's per-poset results as one, failures in poset order."""
+    """One suite's results as one, failures in sweep order."""
     out = SuiteResult(parts[0].name)
     for part in parts:
         out.checks += part.checks

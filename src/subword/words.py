@@ -6,7 +6,7 @@ import json
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
-from .poset import ZERO, FinitePoset, natural_labeling
+from .poset import ZERO, FinitePoset
 
 Word = tuple[int, ...]
 Embedding = tuple[int, ...]
@@ -188,13 +188,17 @@ class IntervalDiagram:
                 self._covers_up[k].append(i)
             ranks.append(max((ranks[k] + 1 for k in lower), default=0))
         self.ranks = ranks
-        self.edges = tuple((a, b) for a, up in enumerate(self._covers_up) for b in up)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (a, b), where node b covers node a, in sorted order."""
+        return tuple((a, b) for a, up in enumerate(self._covers_up) for b in up)
 
     def node_count(self) -> int:
         return len(self.nodes)
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._covers_up))
 
     def up_sets(self) -> list[set[int]]:
         """The indices of the nodes at or above each node, from the top down."""
@@ -325,7 +329,7 @@ def build_interval(
         raise DomainError("build_interval requires u <= w")
 
     below = interval_covers(poset, u, w, max_nodes)
-    label = natural_labeling(poset).labels
+    label = poset.labels
     # Length, then labels, is a linear extension: a cover is shorter, or
     # lowers one letter to a smaller label.
     nodes = sorted(below, key=lambda v: (len(v), tuple(label[x] for x in v)))

@@ -32,6 +32,7 @@ from subword.verify import (
     run_inclusion_exclusion,
     run_lemmas,
     run_product_lemma,
+    sweep,
 )
 
 LAM = builtin_poset("lambda")
@@ -219,11 +220,11 @@ def test_criterion_9_homotopy():
 
 def test_criterion_10_lemma_suite():
     posets = [("lambda", LAM), ("chain:3", builtin_poset("chain:3"))]
-    lemmas = run_lemmas(posets, 2)
+    lemmas = run_lemmas(sweep(posets, 2))
     assert lemmas.passed, lemmas.failures[:3]
     product = run_product_lemma(posets + [("fig3", FIG3)])
     assert product.passed, product.failures[:3]
-    incexc = run_inclusion_exclusion(posets, 2)
+    incexc = run_inclusion_exclusion(sweep(posets, 2))
     assert incexc.passed, incexc.failures[:3]
     total = lemmas.checks + product.checks + incexc.checks
     report(10, f"{total} lemma checks: descent/ascent, lex-decrease, "

@@ -341,6 +341,30 @@ def test_verify_enforces_the_caps(caps, env, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
 
 
+def test_verify_reports_the_first_cap_the_sweep_reaches():
+    # both caps trip; the chain cap trips first, on a word the node cap allows
+    proc = _cli("verify", "--posets", "lambda", "--max-w", "3",
+                "--max-nodes", "20", "--max-chains", "2")
+    message = "error: interval has more than 2 strictly decreasing chains\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
+def test_verify_sweeps_to_the_larger_word_bound(capsys):
+    # the lemma suites read words longer than --max-w; recorded before the sweep
+    code, out, err = run(capsys, "verify", "--posets", "lambda", "--max-w", "1",
+                         "--lemma-max-w", "3")
+    assert (code, err) == (0, "")
+    assert out == (
+        "oracle-equivalence             9 checks  pass\n"
+        "morse-agreement                9 checks  pass\n"
+        "specialization-coherence       0 checks  pass\n"
+        "chebyshev                     74 checks  pass\n"
+        "lemma-suite                14804 checks  pass\n"
+        "product-lemma                 20 checks  pass\n"
+        "inclusion-exclusion         1544 checks  pass\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flags, env",
     [

@@ -357,6 +357,20 @@ def test_formula_table_caps_and_checks(lam):
         mobius_main_below(lam, big, words)
 
 
+@pytest.mark.parametrize(
+    "words",
+    [
+        [(), (ZERO,), (ZERO, ZERO)],  # the adjoined zero spells no word
+        [(0, 0)],  # before its parent prefix (0,)
+        [(), (7,)],  # no element 7
+        [(), (0, 0), (0,)],  # parent prefix listed after its child
+    ],
+)
+def test_formula_table_rejects_bad_word_lists(lam, words):
+    with pytest.raises(InputError):
+        mobius_main_below(lam, parse_word(lam, "33"), words)
+
+
 def _enumerated(poset, u, w):
     """The formula as a sum over enumerated embeddings: the reference for the DP."""
     p0 = AugmentedPoset(poset)

@@ -235,6 +235,28 @@ def test_natural_labeling_validation(lam):
         NaturalLabeling(lam, [0, 0, 1])
 
 
+def test_labels_and_ranks_come_from_construction(monkeypatch):
+    # one linear extension per poset: builds, labelings and engines read it
+    from subword import MorseEngine, build_interval, parse_word
+
+    poset = builtin_poset("fig3")
+    real, calls = FinitePoset._topo_order, []
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FinitePoset, "_topo_order", counted)
+    for _ in range(3):
+        for w in ("9", "59", "99"):
+            build_interval(poset, (), parse_word(poset, w))
+        MorseEngine(poset)
+        NaturalLabeling(poset)
+        assert poset.rank_poset() == 2
+    assert calls == []
+    assert NaturalLabeling(poset).labels == poset.labels
+
+
 def test_all_linear_extensions(lam):
     exts = list(all_linear_extensions(lam))
     assert exts == [[0, 1, 2], [1, 0, 2]]

@@ -19,6 +19,7 @@ from subword.verify import (
     run_all,
     run_product_lemma,
     run_specializations,
+    sweep,
 )
 
 VERIFY_COUNTS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_counts.json"
@@ -43,13 +44,13 @@ def test_all_words(lam):
 def test_suites_pass_at_small_scale(lam):
     posets = [("lambda", lam)]
     for result in [
-        run_oracle_equivalence(posets, 2),
-        run_morse_agreement(posets, 2),
-        run_specializations(resolve_posets("antichain:2,chain:3"), 2),
+        run_oracle_equivalence(sweep(posets, 2)),
+        run_morse_agreement(sweep(posets, 2)),
+        run_specializations(sweep(resolve_posets("antichain:2,chain:3"), 2)),
         run_chebyshev(max_j=3),
-        run_lemmas(posets, 2),
+        run_lemmas(sweep(posets, 2)),
         run_product_lemma(posets),
-        run_inclusion_exclusion(posets, 2),
+        run_inclusion_exclusion(sweep(posets, 2)),
     ]:
         assert result.passed, result.failures[:3]
         assert result.checks > 0
@@ -73,7 +74,7 @@ def test_injected_fault_is_named(lam, monkeypatch):
         return {u: -value if value else 1 for u, value in real(*args, **kwargs).items()}
 
     monkeypatch.setattr(verify, "mobius_main_below", flipped)
-    result = run_oracle_equivalence([("lambda", lam)], 1)
+    result = run_oracle_equivalence(sweep([("lambda", lam)], 1))
     assert result.checks == 9
     assert result.failures == [
         'lambda [∅, ∅]: formula -1 != oracle 1',
@@ -97,7 +98,7 @@ def test_injected_morse_fault_is_named(lam, monkeypatch):
         return {u: mu + 1 if len(u) == 1 else mu for u, mu in real(self, w, *caps).items()}
 
     monkeypatch.setattr(MorseEngine, "mobius_morse_below", off_by_one)
-    result = run_morse_agreement([("lambda", lam)], 2)
+    result = run_morse_agreement(sweep([("lambda", lam)], 2))
     assert result.checks == 64
     assert result.failures == [
         'lambda [1, 1]: formula 1 != morse 2',
@@ -199,7 +200,7 @@ def test_injected_lemma_fault_is_named(lam, monkeypatch):
         return [(i, j) for i, j in real(self, chain, context) if i != j]
 
     monkeypatch.setattr(MorseEngine, "skipped_intervals", no_singletons)
-    result = run_lemmas([("lambda", lam)], 2)
+    result = run_lemmas(sweep([("lambda", lam)], 2))
     assert result.checks == 462 and len(result.failures) == 263
     assert result.failures[:21] == LEMMA_FAULT_FIRST_FAILURES
     digest = hashlib.sha256("\n".join(result.failures).encode()).hexdigest()
