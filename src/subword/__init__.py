@@ -15,21 +15,25 @@ _EXPORTS = {
         "DomainError", "InputError", "IntegerOverflowError", "ResourceLimitError",
         "SubwordError", "UnsupportedPosetError", "VerificationError",
     ),
-    "mobius": (
-        "HomotopyReport", "MobiusReport", "contribution", "defect", "embedding_subposet",
-        "homotopy_type", "is_normal_forest", "mobius_bjorner", "mobius_embedding_subposet",
-        "mobius_forest", "mobius_main", "mobius_main_below", "mobius_oracle",
-        "normal_embeddings_antichain", "rank_word",
+    "homotopy": ("HomotopyReport", "homotopy_type", "rank_word"),
+    "interval": ("IntervalDiagram", "build_interval", "mobius_oracle"),
+    "mobius": ("MobiusReport", "contribution", "mobius_main"),
+    "morse": (
+        "LabeledChain", "MorseEngine", "MsiDecomposition", "NaturalLabeling",
+        "natural_labeling",
     ),
-    "morse": ("ChainContext", "LabeledChain", "MorseEngine", "MsiDecomposition"),
-    "poset": (
-        "ZERO", "AugmentedPoset", "FinitePoset", "NaturalLabeling", "all_linear_extensions",
-        "builtin_poset", "load_poset", "mobius_hat_chain_count", "natural_labeling",
+    "poset": ("ZERO", "FinitePoset", "builtin_poset", "load_poset"),
+    "specializations": (
+        "defect", "is_normal_forest", "mobius_bjorner", "mobius_forest",
+        "normal_embeddings_antichain",
+    ),
+    "verify": (
+        "AugmentedPoset", "ChainContext", "all_linear_extensions", "embedding_subposet",
+        "mobius_embedding_subposet", "mobius_hat_chain_count", "mobius_main_below",
     ),
     "words": (
-        "Embedding", "IntervalDiagram", "Word", "build_interval", "embeddings",
-        "format_embedding", "format_word", "is_leq_words", "parse_word", "restrict",
-        "rightmost_embedding", "runs",
+        "Embedding", "Word", "embeddings", "format_embedding", "format_word",
+        "is_leq_words", "parse_word", "restrict", "rightmost_embedding", "runs",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

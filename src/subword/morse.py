@@ -5,17 +5,15 @@ rightmost-zeroing convention, totally ordered lexicographically (a PLO), and
 analyzed for skipped intervals, MSIs, J-intervals and criticality.  The Morse
 route to the Mobius function sums (-1)^d over critical chains.
 
-Two skipped-interval tests coexist:
-
-* a brute-force test quantifying over all PLO-earlier chains of the interval
-  (:func:`skipped_intervals`), the reference of the verification suites and
-  small-scale property tests; and
-* an exact direct test (:meth:`MorseEngine.is_si`) used everywhere else: an
-  interval I of C is skipped iff the PLO-minimum maximal chain through C - I
-  precedes C.  That chain is never later than C, so the test is decided where it
-  first leaves C, and it looks only at C's own steps across I.  Combined with
-  generating only chains whose label sequences strictly decrease (no other
-  chain can be critical), this keeps large sweeps feasible.
+A skipped interval (SI) is decided by an exact direct test
+(:meth:`MorseEngine.is_si`): an interval I of C is skipped iff the
+PLO-minimum maximal chain through C - I precedes C.  That chain is never
+later than C, so the test is decided where it first leaves C, and it looks
+only at C's own steps across I.  Combined with generating only chains whose
+label sequences strictly decrease (no other chain can be critical), this
+keeps large sweeps feasible.  The brute-force reference, which quantifies
+over all PLO-earlier chains, lives with the verification suites (module
+``verify``).
 
 The walk to a bottom u keeps only prefixes that can still reach u.  Labels
 strictly decrease, so after a move at position p the slots after p never
@@ -32,24 +30,15 @@ along the walk from parent prefix to child, and
 :meth:`MorseEngine.critical_chains` keeps the scans of the labels a chain
 shares with the one before it and carries only the rest.  The J-intervals
 then come from one left-to-right pass over the MSIs (:func:`j_construction`).
-
-P0 (P with a bottom 0 adjoined) is the one-letter slice of subword order: the
-P0 interval [x, y] is the interval [(x), (y)] of words, or [empty, (y)] when
-x = 0, with the same covers and the same label keys (all at position 1, and
-label(0) = 0 both ways).  So
-:meth:`MorseEngine.classify_single_position_msi` labels a slot's track as a
-chain of that interval and reads its SIs with the exact test; there is no
-separate P0 walker.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError, check_i64
-from .poset import ZERO, FinitePoset, NaturalLabeling, natural_labeling
+from .poset import ZERO, FinitePoset
 from .words import (
     DEFAULT_MAX_CHAINS,
     DEFAULT_MAX_NODES,
@@ -57,7 +46,6 @@ from .words import (
     Word,
     check_word,
     format_word,
-    interval_covers,
     is_embedding,
     lower_covers,
     restrict,
@@ -66,6 +54,38 @@ from .words import (
 
 Label = tuple[int, int]  # (1-based position in w, letter id or ZERO)
 IndexInterval = tuple[int, int]  # inclusive indices into a chain's word list
+
+
+class NaturalLabeling:
+    """An order-preserving injection of P into 1..n, with label(ZERO)=0.
+
+    By default it is the poset's own ``labels``; an explicit order is checked.
+    """
+
+    def __init__(self, poset: FinitePoset, order: Sequence[int] | None = None):
+        self.poset = poset
+        self.labels = poset.labels  # label of each id, read unchecked by inner loops
+        if order is None:
+            return
+        order = list(order)
+        if sorted(order) != list(range(poset.n)):
+            raise InputError("labeling order must be a permutation of element ids")
+        labels = [0] * poset.n
+        for pos, x in enumerate(order):
+            labels[x] = pos + 1
+        for a, b in poset.covers:
+            if labels[a] >= labels[b]:
+                raise InputError("labeling order is not a linear extension")
+        self.labels = tuple(labels)
+
+    def __call__(self, x: int) -> int:
+        if x == ZERO:
+            return 0
+        return self.labels[self.poset.check_element(x)]
+
+
+def natural_labeling(poset: FinitePoset) -> NaturalLabeling:
+    return NaturalLabeling(poset)
 
 
 class LabeledChain(NamedTuple):
@@ -135,24 +155,11 @@ def j_construction(
     return tuple(js), covered == len(range(open_lo, open_hi + 1))
 
 
-class ChainContext:
-    """All maximal chains of one interval, PLO-sorted, with element sets."""
-
-    def __init__(self, engine: "MorseEngine", u: Word, w: Word, chains: list[LabeledChain]):
-        self.engine = engine
-        self.u = u
-        self.w = w
-        self.chains = chains
-        self.sets = [frozenset(c.words) for c in self.chains]
-        self._index = {c.labels: i for i, c in enumerate(self.chains)}
-        if len(self._index) != len(self.chains):
-            raise InputError("duplicate label sequences: PLO is not total here")
-
-    def index_of(self, chain: LabeledChain) -> int:
-        try:
-            return self._index[chain.labels]
-        except KeyError:
-            raise DomainError("chain does not belong to this interval") from None
+def decompose(chain: LabeledChain, msis: Sequence[IndexInterval]) -> MsiDecomposition:
+    """The decomposition of chain with the given MSIs."""
+    lo, hi = chain.open_range()
+    js, crit = j_construction(msis, lo, hi)
+    return MsiDecomposition(chain, tuple(sorted(msis)), js, crit, len(js) - 1)
 
 
 class MorseEngine:
@@ -238,20 +245,7 @@ class MorseEngine:
 
     # -- chain enumeration ----------------------------------------------------
 
-    def all_chains(
-        self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
-    ) -> ChainContext:
-        """Every maximal chain of [u, w], PLO-sorted."""
-        u = check_word(self.poset, u)
-        w = check_word(self.poset, w)
-        if not trusted_leq(self.poset, u, w):
-            raise DomainError("all_chains requires u <= w")
-        chains = list(islice(self._chains(w, u, decreasing=False), max_chains + 1))
-        if len(chains) > max_chains:
-            raise ResourceLimitError(f"interval has more than {max_chains} maximal chains")
-        return ChainContext(self, u, w, chains)
-
-    def _chains(
+    def chains(
         self, w: Word, u: Word | None, decreasing: bool
     ) -> Iterator[LabeledChain]:
         """Saturated descending chains from w, in PLO order; with decreasing,
@@ -303,40 +297,6 @@ class MorseEngine:
         tail = restrict(eta[p:])
         k = len(u) - len(tail)
         return k >= 0 and u[k:] == tail and trusted_leq(self.poset, u[:k], restrict(eta[:p]))
-
-    # -- skipped intervals: brute force over earlier chains --------------------
-
-    def skipped_intervals(
-        self, chain: LabeledChain, context: ChainContext
-    ) -> list[IndexInterval]:
-        """All SIs of chain, by containment checks against PLO-earlier chains."""
-        idx = context.index_of(chain)
-        elems = chain.words
-        lo, hi = chain.open_range()
-        earlier = context.sets[:idx]
-        out: list[IndexInterval] = []
-        for i in range(lo, hi + 1):
-            for j in range(i, hi + 1):
-                needed = frozenset(elems[:i]) | frozenset(elems[j + 1 :])
-                if any(needed <= s for s in earlier):
-                    out.append((i, j))
-        return out
-
-    def msis(self, chain: LabeledChain, context: ChainContext) -> list[IndexInterval]:
-        sis = self.skipped_intervals(chain, context)
-        return _minimal_intervals(sis)
-
-    def decomposition(
-        self, chain: LabeledChain, context: ChainContext
-    ) -> MsiDecomposition:
-        return self._decompose(chain, self.msis(chain, context))
-
-    def _decompose(
-        self, chain: LabeledChain, msis: Sequence[IndexInterval]
-    ) -> MsiDecomposition:
-        lo, hi = chain.open_range()
-        js, crit = j_construction(msis, lo, hi)
-        return MsiDecomposition(chain, tuple(sorted(msis)), js, crit, len(js) - 1)
 
     # -- skipped intervals: first divergence from C ----------------------------
 
@@ -396,7 +356,7 @@ class MorseEngine:
         """The decomposition from chain's carried MSI scan ``ends``; with
         None, the scan is folded here (:meth:`msis_direct`)."""
         msis = self.msis_direct(chain) if ends is None else _msis_of_scan(ends)
-        return self._decompose(chain, msis)
+        return decompose(chain, msis)
 
     # -- critical chains and the Morse Mobius sum -----------------------------
 
@@ -420,7 +380,7 @@ class MorseEngine:
         out: list[MsiDecomposition] = []
         scans: list[list[int]] = [[]]  # scans[hi]: the scan through words[hi + 1]
         labels: tuple[Label, ...] = ()
-        for n, chain in enumerate(self._chains(w, u, decreasing=True)):
+        for n, chain in enumerate(self.chains(w, u, decreasing=True)):
             if n == max_chains:
                 raise ResourceLimitError(
                     f"interval has more than {max_chains} strictly decreasing chains"
@@ -450,18 +410,24 @@ class MorseEngine:
     def mobius_morse_below(
         self,
         w: Word,
-        max_nodes: int = DEFAULT_MAX_NODES,
+        words: Iterable[Word] | None = None,
         max_chains: int = DEFAULT_MAX_CHAINS,
+        max_nodes: int = DEFAULT_MAX_NODES,
     ) -> dict[Word, int]:
         """mu(u, w) for every u <= w via the Morse sum, one traversal of w;
-        each prefix's MSI scan is its parent's, carried one step.  More than
-        max_nodes elements of [empty, w] or more than max_chains walked
-        prefixes (strictly decreasing chains from w) is a
-        :class:`ResourceLimitError`."""
+        each prefix's MSI scan is its parent's, carried one step.
+
+        ``words`` lists [empty, w], and a word no critical chain ends at gets
+        mu 0.  By default it is searched here, and more than max_nodes
+        elements is a :class:`ResourceLimitError`; a given list is trusted
+        (the verification sweep passes its diagram's nodes, already capped).
+        More than max_chains walked prefixes (strictly decreasing chains from
+        w) is a :class:`ResourceLimitError` too.
+        """
         w = check_word(self.poset, w)
         table: dict[Word, int] = {}
         scans: list[list[int]] = [[]]  # scans[k]: the current prefix with k open positions
-        for n, chain in enumerate(self._chains(w, None, decreasing=True)):
+        for n, chain in enumerate(self.chains(w, None, decreasing=True)):
             if n == max_chains:
                 raise ResourceLimitError(
                     f"interval has more than {max_chains} strictly decreasing chains"
@@ -474,7 +440,11 @@ class MorseEngine:
             if sign:
                 total = table.get(chain.bottom, 0) + sign
                 table[chain.bottom] = check_i64(total, "mobius_morse_below")
-        for u in interval_covers(self.poset, (), w, max_nodes):
+        if words is None:
+            from .interval import interval_covers
+
+            words = interval_covers(self.poset, (), w, max_nodes)
+        for u in words:
             table.setdefault(u, 0)
         table[w] = 1
         return table
@@ -501,40 +471,6 @@ class MorseEngine:
             raise DomainError("eta is not an embedding in w")
         return self.embedding_mus(restrict(eta), w).get(eta, 0)
 
-    # -- single-position MSI classification -----------------------------------
-
-    def classify_single_position_msi(self, chain: LabeledChain) -> bool:
-        """Predict whether C(w, eta) is an MSI when eta differs from w in one slot.
-
-        The track of that slot j is a maximal chain of the P0 interval
-        [eta(j), w(j)], which is the one-letter interval [(eta(j)), (w(j))] of
-        subword order, or [empty, (w(j))] when eta(j) is 0: same covers, same
-        label keys, all at position 1.  Its SIs are read there by :meth:`is_si`.
-        """
-        w = chain.top
-        eta = chain.final_embedding
-        diff = [j for j in range(len(w)) if eta[j] != w[j]]
-        if len(diff) != 1:
-            raise DomainError("endpoints must differ in exactly one position")
-        j = diff[0]
-        track = [restrict((e[j],)) for e in chain.embeddings]
-        if len(track) <= 2:
-            return False  # empty open interval cannot be an MSI
-        above = self.poset.above
-        left = w[j - 1] if eta[j] == ZERO and j > 0 else None
-        rightmost = left is None or w[j] not in above[left]
-        if not rightmost and any(x in above[left] for (x,) in track[1:-1]):
-            return False
-        one_letter = self.label_chain(track)
-        lo, hi = full = one_letter.open_range()
-        sis = [
-            (i, k)
-            for i in range(lo, hi + 1)
-            for k in range(i, hi + 1)
-            if self.is_si(one_letter, (i, k))
-        ]
-        return sis == [full] if rightmost else all(si == full for si in sis)
-
 
 @lru_cache(maxsize=4096)
 def _scan_sign(ends: tuple[int, ...]) -> int:
@@ -549,13 +485,3 @@ def _msis_of_scan(ends: list[int]) -> list[IndexInterval]:
     where f(hi + 1) = hi + 1 bounds the open i."""
     after = ends[1:] + [len(ends) + 1]
     return [(i, f) for i, (f, g) in enumerate(zip(ends, after), 1) if f < g]
-
-
-def _minimal_intervals(intervals: Sequence[IndexInterval]) -> list[IndexInterval]:
-    uniq = sorted(set(intervals))
-    return [
-        iv
-        for iv in uniq
-        if not any(o != iv and iv[0] <= o[0] and o[1] <= iv[1] for o in uniq)
-    ]
-

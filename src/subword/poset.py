@@ -1,4 +1,4 @@
-"""Finite posets, the bottom-adjoined poset, natural labelings and Mobius values.
+"""Finite posets: construction, the Mobius function of P0 and the built-ins.
 
 Elements of a :class:`FinitePoset` are dense integer ids ``0..n-1``; display
 names are metadata only.  The adjoined bottom of P0 (P with a bottom adjoined)
@@ -9,22 +9,20 @@ A :class:`FinitePoset` owns the tables every route reads: ``above`` (up-sets),
 ``covers_below`` (lower covers) and a memo of the Mobius function of P0,
 filled on demand by :meth:`FinitePoset.mu0` and shared by every caller.  These
 and :meth:`FinitePoset.interval0` take ids unchecked, so inner loops read them
-only after a public entry has validated its input.  :class:`AugmentedPoset` is
-only a validating view of P0 over the same tables: it checks ids and reads
-them, and no route builds one.
+only after a public entry has validated its input.
+
+The validating view of P0 (``AugmentedPoset``), seeded random posets and the
+other references live with the verification suites (module ``verify``).
 """
 
 from __future__ import annotations
 
-import heapq
-import json
-import random
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import DomainError, InputError, check_i64
+from .errors import InputError, check_i64
 
-# Id of the adjoined bottom element of an AugmentedPoset.
+# Id of the adjoined bottom element of P0.
 ZERO = -1
 
 
@@ -90,17 +88,20 @@ class FinitePoset:
         return tuple(frozenset(s) for s in up)
 
     def _topo_order(self) -> list[int]:
-        """Linear extension taking the smallest available id first."""
+        """Linear extension taking the smallest available id first.  A scan
+        for the least ready id keeps this quadratic, as ``above`` is anyway,
+        and keeps ``heapq`` off every call's start-up."""
         indeg = [len(self._lower[i]) for i in range(self.n)]
-        heap = [i for i in range(self.n) if indeg[i] == 0]
+        ready = {i for i in range(self.n) if indeg[i] == 0}
         order: list[int] = []
-        while heap:
-            a = heapq.heappop(heap)
+        while ready:
+            a = min(ready)
+            ready.remove(a)
             order.append(a)
             for b in self._upper[a]:
                 indeg[b] -= 1
                 if indeg[b] == 0:
-                    heapq.heappush(heap, b)
+                    ready.add(b)
         if len(order) != self.n:
             raise InputError("cover relation contains a cycle")
         return order
@@ -147,35 +148,6 @@ class FinitePoset:
             self._mu0[key] = check_i64(-total, f"mobius0({a},{b})")
         return self._mu0[key]
 
-    def covers_of(self, a: int) -> list[int]:
-        """Elements covering a, in id order."""
-        return sorted(self._upper[self.check_element(a)])
-
-    def covered_by(self, b: int) -> list[int]:
-        """Elements covered by b, in id order."""
-        return list(self.covers_below[self.check_element(b)])
-
-    def minimals(self) -> list[int]:
-        return [x for x in range(self.n) if not self._lower[x]]
-
-    def is_antichain(self) -> bool:
-        return not self.covers
-
-    def is_rooted_forest(self) -> bool:
-        """True iff every non-minimal element covers exactly one element.
-
-        Equivalently, in the augmented poset every nonzero element covers
-        exactly one element.
-        """
-        return all(len(self._lower[x]) <= 1 for x in range(self.n))
-
-    def rank_element(self, x: int) -> int:
-        """Length of a longest chain from a minimal element up to x."""
-        return self.ranks[self.check_element(x)]
-
-    def rank_poset(self) -> int:
-        return max(self.ranks, default=0)
-
     def id_of(self, name: str) -> int:
         try:
             return self._name_to_id[name]
@@ -198,17 +170,15 @@ class FinitePoset:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "elements": list(self.names),
-                "covers": sorted(
-                    [self.names[a], self.names[b]] for a, b in self.covers
-                ),
-            }
-        )
+        import json
+
+        covers = sorted([self.names[a], self.names[b]] for a, b in self.covers)
+        return json.dumps({"elements": list(self.names), "covers": covers})
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
+        import json
+
         try:
             data = json.loads(text)
             names = [str(x) for x in data["elements"]]
@@ -217,121 +187,6 @@ class FinitePoset:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad poset JSON: {exc}") from exc
         return cls(names, covers)
-
-
-class AugmentedPoset:
-    """The poset P with a bottom element (id ZERO) adjoined: a validating view
-    over the base poset's ``above``, ``interval0`` and ``mu0``."""
-
-    def __init__(self, base: FinitePoset):
-        self.base = base
-        self.zero = ZERO
-
-    def check_element(self, x: int) -> int:
-        if x == ZERO:
-            return x
-        return self.base.check_element(x)
-
-    def leq(self, a: int, b: int) -> bool:
-        self.check_element(a)
-        self.check_element(b)
-        return a == ZERO or (b != ZERO and b in self.base.above[a])
-
-    def elements(self) -> list[int]:
-        return [ZERO] + list(range(self.base.n))
-
-    def covered_by(self, b: int) -> list[int]:
-        """Elements covered by b in the augmented order; ZERO is covered by none."""
-        if b == ZERO:
-            return []
-        lower = self.base.covered_by(b)
-        return lower if lower else [ZERO]
-
-    def covers_of(self, a: int) -> list[int]:
-        if a == ZERO:
-            return self.base.minimals()
-        return self.base.covers_of(a)
-
-    def interval(self, a: int, b: int) -> list[int]:
-        """Elements of [a, b], unordered domain check included."""
-        if not self.leq(a, b):
-            raise DomainError(f"{a} is not <= {b} in the augmented poset")
-        return self.base.interval0(a, b)
-
-    def mobius0(self, a: int, b: int) -> int:
-        """mu(a, b) in P0, read from the base poset's shared memo."""
-        if not self.leq(a, b):
-            raise DomainError(f"mobius0 requires a <= b; got {a}, {b}")
-        return self.base.mu0(a, b)
-
-
-class NaturalLabeling:
-    """An order-preserving injection of P into 1..n, with label(ZERO)=0.
-
-    By default it is the poset's own ``labels``; an explicit order is checked.
-    """
-
-    def __init__(self, poset: FinitePoset, order: Sequence[int] | None = None):
-        self.poset = poset
-        self.labels = poset.labels  # label of each id, read unchecked by inner loops
-        if order is None:
-            return
-        order = list(order)
-        if sorted(order) != list(range(poset.n)):
-            raise InputError("labeling order must be a permutation of element ids")
-        labels = [0] * poset.n
-        for pos, x in enumerate(order):
-            labels[x] = pos + 1
-        for a, b in poset.covers:
-            if labels[a] >= labels[b]:
-                raise InputError("labeling order is not a linear extension")
-        self.labels = tuple(labels)
-
-    def __call__(self, x: int) -> int:
-        if x == ZERO:
-            return 0
-        return self.labels[self.poset.check_element(x)]
-
-
-def natural_labeling(poset: FinitePoset) -> NaturalLabeling:
-    return NaturalLabeling(poset)
-
-
-def all_linear_extensions(poset: FinitePoset) -> Iterator[list[int]]:
-    """All linear extensions; intended for small posets in property tests."""
-
-    def extend(acc: list[int], remaining: set[int]) -> Iterator[list[int]]:
-        if not remaining:
-            yield list(acc)
-            return
-        for x in sorted(remaining):
-            if all(a in acc for a in poset.covered_by(x)):
-                acc.append(x)
-                yield from extend(acc, remaining - {x})
-                acc.pop()
-
-    yield from extend([], set(range(poset.n)))
-
-
-def mobius_hat_chain_count(
-    elements: Sequence, leq: Callable[[object, object], bool]
-) -> int:
-    """mu of the poset with hat-bottom and hat-top adjoined, via chain counts.
-
-    Uses the alternating chain-count expression -1 + c0 - c1 + c2 - ..., where
-    c_i counts chains with i+1 elements, evaluated by dynamic programming.
-    """
-    elems = list(elements)
-    below = [
-        [j for j, b in enumerate(elems) if j != i and leq(b, a)]
-        for i, a in enumerate(elems)
-    ]
-    # h[x] = signed count, over chains with top x, of (-1)^(#elements - 1).
-    # Ordering by down-set size is a linear extension.
-    h: dict[int, int] = {}
-    for i in sorted(range(len(elems)), key=lambda i: len(below[i])):
-        h[i] = 1 - sum(h[j] for j in below[i])
-    return check_i64(-1 + sum(h.values()), "mobius_hat_chain_count")
 
 
 # -- built-in posets ----------------------------------------------------------
@@ -359,32 +214,6 @@ def _fig3() -> FinitePoset:
     ]
     ids = {nm: i for i, nm in enumerate(names)}
     return FinitePoset(names, [(ids[a], ids[b]) for a, b in covers_by_name])
-
-
-def random_poset(seed: int, max_elements: int = 5) -> FinitePoset:
-    """A small random poset, deterministic per seed.
-
-    A random DAG on ids 0..n-1 (edges only from lower to higher id) is
-    transitively reduced before construction.
-    """
-    rng = random.Random(seed)
-    n = rng.randint(1, max_elements)
-    reach = [{i} for i in range(n)]
-    edges: set[tuple[int, int]] = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < 0.4:
-                edges.add((a, b))
-    for a in range(n - 1, -1, -1):
-        for b in range(a + 1, n):
-            if (a, b) in edges:
-                reach[a] |= reach[b]
-    covers = [
-        (a, b)
-        for a, b in edges
-        if not any(c != b and b in reach[c] for c in range(a + 1, n) if (a, c) in edges)
-    ]
-    return FinitePoset([str(i + 1) for i in range(n)], covers)
 
 
 # Sized built-in families: name -> (constructor, least size); fig3 takes none.
@@ -431,3 +260,12 @@ def load_poset(source: str) -> FinitePoset:
         ) from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"poset file {source!r} is not UTF-8 text: {exc}") from exc
+
+
+def __getattr__(name: str):
+    # The P0 view lives in ``verify``; callers that look it up here get it on demand.
+    if name == "AugmentedPoset":
+        from .verify import AugmentedPoset
+
+        return AugmentedPoset
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

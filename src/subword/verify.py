@@ -1,50 +1,57 @@
 """Cross-method verification suites: oracle equivalence, specializations,
-Morse agreement, Chebyshev coefficients and structural lemma checks.
+Morse agreement, Chebyshev coefficients and structural lemma checks, with the
+brute-force references they compare against.
 
 Each suite returns a :class:`SuiteResult`; failures carry a printable
 counterexample so callers can name the offending instance; the suites build
 its text only when the check fails.
 
 :func:`sweep` yields one :class:`Interval` per (poset, w): the one [empty, w]
-diagram, the one formula table (:func:`mobius_main_below`) and the poset's
-Morse engine.  The interval suites each check the records they are given, so
-:func:`run_all` passes every record of a poset's sweep to each suite in turn,
-or none where w is past that suite's bound, and the record goes with its w.
-The per-record results are merged suite by suite, in the suites' order.  The
-caps bound the builds and the Morse walks, so when both would trip, the first
-interval of the sweep to reach one names it.
+diagram, the one formula table (:func:`mobius_main_below`) where a suite
+reads it, and a Morse engine shared by the words of one length.  The interval
+suites each check the records they are given, so :func:`run_all` passes every
+record of a poset's sweep to each suite in turn, or none where w is past that
+suite's bound, and the record goes with its w.  The per-record results are
+merged suite by suite, in the suites' order.  The caps bound the builds and
+the Morse walks, so when both would trip, the first interval of the sweep to
+reach one names it.
+
+The references live here rather than beside the routes they check: the
+validating view of P0 (:class:`AugmentedPoset`), seeded random posets, the
+chain-count Mobius value, the embedding subposet, and the skipped intervals
+of a chain by comparison with every PLO-earlier chain (:class:`ChainContext`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple
+import random
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .chebyshev import chebyshev_T, chebyshev_T_closed, verify_chebyshev
-from .errors import InputError
-from .mobius import (
-    mobius_bjorner,
-    mobius_embedding_subposet,
-    mobius_forest,
-    mobius_main,
-    mobius_main_below,
+from .errors import DomainError, InputError, ResourceLimitError, check_i64
+from .interval import IntervalDiagram, build_interval, interval_covers
+from .mobius import mobius_main
+from .morse import (
+    IndexInterval,
+    LabeledChain,
+    MorseEngine,
+    MsiDecomposition,
+    decompose,
+    j_construction,
 )
-from .morse import MorseEngine, j_construction
-from .poset import (
-    DEFAULT_POSET_SPEC,
-    ZERO,
-    FinitePoset,
-    builtin_poset,
-    mobius_hat_chain_count,
-    random_poset,
-)
+from .poset import DEFAULT_POSET_SPEC, ZERO, FinitePoset, builtin_poset
+from .specializations import is_antichain, is_rooted_forest, mobius_bjorner, mobius_forest
 from .words import (
     DEFAULT_MAX_CHAINS,
     DEFAULT_MAX_NODES,
-    IntervalDiagram,
+    Embedding,
     Word,
-    build_interval,
+    check_word,
     format_word,
+    is_embedding,
+    restrict,
+    trusted_leq,
 )
 
 
@@ -69,27 +76,39 @@ class SuiteResult:
 
 class Interval(NamedTuple):
     """One step of a sweep: [empty, w] over one poset, with mu(u, w) for each
-    node u by the formula alone, in node order."""
+    node u by the formula alone, in node order (None past the sweep's
+    ``tables_max_w``)."""
 
     name: str
     poset: FinitePoset
     engine: MorseEngine
     w: Word
     diagram: IntervalDiagram
-    formula: dict[Word, int]
+    formula: dict[Word, int] | None
 
 
 def sweep(
-    posets: Iterable[tuple[str, FinitePoset]], max_w: int, max_nodes: int = DEFAULT_MAX_NODES
+    posets: Iterable[tuple[str, FinitePoset]],
+    max_w: int,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    tables_max_w: int | None = None,
 ) -> Iterator[Interval]:
     """One :class:`Interval` per poset and word w with |w| <= max_w, shortest
-    first; each poset's records share one Morse engine."""
+    first, with a formula table where |w| <= tables_max_w (default max_w).
+
+    The records of one word length share a Morse engine: its move memo is
+    keyed by embeddings of length |w|, so none of it serves a longer w.
+    """
+    tables_max_w = max_w if tables_max_w is None else tables_max_w
     for name, poset in posets:
-        engine = MorseEngine(poset)
-        for w in all_words(poset, max_w):
-            diagram = build_interval(poset, (), w, max_nodes=max_nodes)
-            formula = mobius_main_below(poset, w, diagram.nodes)
-            yield Interval(name, poset, engine, w, diagram, formula)
+        for length, words in itertools.groupby(all_words(poset, max_w), key=len):
+            engine = MorseEngine(poset)
+            for w in words:
+                diagram = build_interval(poset, (), w, max_nodes=max_nodes)
+                formula = (
+                    mobius_main_below(poset, w, diagram.nodes) if length <= tables_max_w else None
+                )
+                yield Interval(name, poset, engine, w, diagram, formula)
 
 
 def resolve_posets(spec: str) -> list[tuple[str, FinitePoset]]:
@@ -138,14 +157,12 @@ def run_oracle_equivalence(intervals: Iterable[Interval]) -> SuiteResult:
 
 
 def run_morse_agreement(
-    intervals: Iterable[Interval],
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_chains: int = DEFAULT_MAX_CHAINS,
+    intervals: Iterable[Interval], max_chains: int = DEFAULT_MAX_CHAINS
 ) -> SuiteResult:
     """Morse critical-chain sum = formula on every [u, w] of the given [empty, w]."""
     result = SuiteResult("morse-agreement")
-    for name, poset, engine, w, _, formula in intervals:
-        morse = engine.mobius_morse_below(w, max_nodes, max_chains)
+    for name, poset, engine, w, diagram, formula in intervals:
+        morse = engine.mobius_morse_below(w, diagram.nodes, max_chains)
         for u, mu in morse.items():
             got = formula.get(u, 0)  # the formula's 0 off [empty, w]
             result.record(
@@ -159,8 +176,8 @@ def run_specializations(intervals: Iterable[Interval]) -> SuiteResult:
     """Antichain and rooted-forest formulas agree with the main formula."""
     result = SuiteResult("specialization-coherence")
     for name, poset, _, w, _, formula in intervals:
-        antichain = poset.is_antichain()
-        forest = poset.is_rooted_forest()
+        antichain = is_antichain(poset)
+        forest = is_rooted_forest(poset)
         if not (antichain or forest):
             continue
         for u, expect in formula.items():
@@ -212,13 +229,13 @@ def run_lemmas(intervals: Iterable[Interval], max_chains: int = DEFAULT_MAX_CHAI
             if u == w:
                 continue
             where = lambda: _pair_text(name, poset, u, w)
-            context = engine.all_chains(u, w, max_chains)
+            context = all_chains(engine, u, w, max_chains)
             critical = dict.fromkeys(
                 dec.chain for dec in engine.critical_chains(u, w, max_chains)
             )
             brute_critical = set()
             for chain in context.chains:
-                brute = tuple(engine.msis(chain, context))
+                brute = tuple(context.msis(chain))
                 fast = tuple(engine.msis_direct(chain))
                 result.record(
                     brute == fast,
@@ -366,11 +383,11 @@ def run_all(
     for name, poset in resolve_posets(poset_spec):
         small = poset.n <= 5
         bound = max(max_w, lemma_max_w) if small else max_w
-        for interval in sweep([(name, poset)], bound, max_nodes):
+        for interval in sweep([(name, poset)], bound, max_nodes, tables_max_w=max_w):
             wide = [interval] if len(interval.w) <= max_w else []
             narrow = [interval] if small and len(interval.w) <= lemma_max_w else []
             oracle.append(run_oracle_equivalence(wide))
-            morse.append(run_morse_agreement(wide, max_nodes, max_chains))
+            morse.append(run_morse_agreement(wide, max_chains))
             special.append(run_specializations(wide))
             lemmas.append(run_lemmas(narrow, max_chains))
             incexc.append(run_inclusion_exclusion(narrow))
@@ -387,3 +404,264 @@ def _merged(parts: list[SuiteResult]) -> SuiteResult:
         out.checks += part.checks
         out.failures += part.failures
     return out
+
+
+# -- references -----------------------------------------------------------
+
+
+def mobius_main_below(
+    poset: FinitePoset,
+    w: Sequence[int],
+    words: Iterable[Word] | None = None,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> dict[Word, int]:
+    """The formula route for every u <= w at once: {u: mu(u, w)}, the table
+    the interval suites check the other routes against.
+
+    The DP of :func:`mobius_main` reads u one letter at a time, so the column
+    of u over the positions of w is its parent prefix's column extended by
+    u's last letter, at O(|w|) per u.  ``words`` lists [empty, w] with each
+    word after its parent prefix (shortest first, as the interval's node
+    order does); by default it is searched here under ``max_nodes``.  A word
+    listed before its parent prefix, or ending in a letter not of P, is an
+    :class:`InputError`, so each letter of each word is checked once.
+    """
+    w = check_word(poset, w)
+    if words is None:
+        words = sorted(interval_covers(poset, (), w, max_nodes), key=len)
+    mu0, above = poset.mu0, poset.above
+    skips = [mu0(ZERO, b) + (j > 0 and w[j - 1] == b) for j, b in enumerate(w)]
+    empty = [1]
+    for skip in skips:
+        empty.append(empty[-1] * skip)
+    columns: dict[Word, list[int]] = {(): empty}
+    factors: dict[int, list[int]] = {}  # letter x: mu0(x, w[j]), 0 where x is not below
+    table: dict[Word, int] = {}
+    for u in words:
+        if u:
+            parent, x = columns.get(u[:-1]), u[-1]
+            if parent is None:
+                raise InputError(f"word {u!r} comes before its parent prefix")
+            factor = factors.get(x)
+            if factor is None:
+                if not 0 <= x < poset.n:  # the adjoined zero too
+                    raise InputError(f"word {u!r} ends in {x!r}, not an element of P")
+                factor = factors[x] = [mu0(x, b) if b in above[x] else 0 for b in w]
+            column = [0]
+            for j, skip in enumerate(skips):
+                column.append(column[j] * skip + parent[j] * factor[j])
+            columns[u] = column
+        table[u] = check_i64(columns[u][-1], "mobius_main_below")
+    return table
+
+
+class AugmentedPoset:
+    """The poset P with a bottom element (id ZERO) adjoined: a validating view
+    over the base poset's ``above``, ``interval0`` and ``mu0``, for tests and
+    for :func:`mobius.contribution`.  No route builds one."""
+
+    def __init__(self, base: FinitePoset):
+        self.base = base
+        self.zero = ZERO
+
+    def check_element(self, x: int) -> int:
+        if x == ZERO:
+            return x
+        return self.base.check_element(x)
+
+    def leq(self, a: int, b: int) -> bool:
+        self.check_element(a)
+        self.check_element(b)
+        return a == ZERO or (b != ZERO and b in self.base.above[a])
+
+    def elements(self) -> list[int]:
+        return [ZERO] + list(range(self.base.n))
+
+    def covered_by(self, b: int) -> list[int]:
+        """Elements covered by b in the augmented order; ZERO is covered by none."""
+        if b == ZERO:
+            return []
+        self.check_element(b)
+        return list(self.base.covers_below[b] or (ZERO,))
+
+    def covers_of(self, a: int) -> list[int]:
+        """Elements covering a in the augmented order, in id order; ZERO is
+        covered by the minimal elements."""
+        self.check_element(a)
+        below = self.base.covers_below
+        if a == ZERO:
+            return [b for b in range(self.base.n) if not below[b]]
+        return [b for b in range(self.base.n) if a in below[b]]
+
+    def interval(self, a: int, b: int) -> list[int]:
+        """Elements of [a, b], unordered domain check included."""
+        if not self.leq(a, b):
+            raise DomainError(f"{a} is not <= {b} in the augmented poset")
+        return self.base.interval0(a, b)
+
+    def mobius0(self, a: int, b: int) -> int:
+        """mu(a, b) in P0, read from the base poset's shared memo."""
+        if not self.leq(a, b):
+            raise DomainError(f"mobius0 requires a <= b; got {a}, {b}")
+        return self.base.mu0(a, b)
+
+
+def random_poset(seed: int, max_elements: int = 5) -> FinitePoset:
+    """A small random poset, deterministic per seed.
+
+    A random DAG on ids 0..n-1 (edges only from lower to higher id) is
+    transitively reduced before construction.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(1, max_elements)
+    reach = [{i} for i in range(n)]
+    edges: set[tuple[int, int]] = set()
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.4:
+                edges.add((a, b))
+    for a in range(n - 1, -1, -1):
+        for b in range(a + 1, n):
+            if (a, b) in edges:
+                reach[a] |= reach[b]
+    covers = [
+        (a, b)
+        for a, b in edges
+        if not any(c != b and b in reach[c] for c in range(a + 1, n) if (a, c) in edges)
+    ]
+    return FinitePoset([str(i + 1) for i in range(n)], covers)
+
+
+def all_linear_extensions(poset: FinitePoset) -> Iterator[list[int]]:
+    """All linear extensions; intended for small posets in property tests."""
+
+    def extend(acc: list[int], remaining: set[int]) -> Iterator[list[int]]:
+        if not remaining:
+            yield list(acc)
+            return
+        for x in sorted(remaining):
+            if all(a in acc for a in poset.covers_below[x]):
+                acc.append(x)
+                yield from extend(acc, remaining - {x})
+                acc.pop()
+
+    yield from extend([], set(range(poset.n)))
+
+
+def mobius_hat_chain_count(
+    elements: Sequence, leq: Callable[[object, object], bool]
+) -> int:
+    """mu of the poset with hat-bottom and hat-top adjoined, via chain counts.
+
+    Uses the alternating chain-count expression -1 + c0 - c1 + c2 - ..., where
+    c_i counts chains with i+1 elements, evaluated by dynamic programming.
+    """
+    elems = list(elements)
+    below = [
+        [j for j, b in enumerate(elems) if j != i and leq(b, a)]
+        for i, a in enumerate(elems)
+    ]
+    # h[x] = signed count, over chains with top x, of (-1)^(#elements - 1).
+    # Ordering by down-set size is a linear extension.
+    h: dict[int, int] = {}
+    for i in sorted(range(len(elems)), key=lambda i: len(below[i])):
+        h[i] = 1 - sum(h[j] for j in below[i])
+    return check_i64(-1 + sum(h.values()), "mobius_hat_chain_count")
+
+
+def embedding_subposet(
+    poset: FinitePoset, eta: Embedding, w: Sequence[int]
+) -> list[Word]:
+    """The subposet [eta, w]: words admitting an expansion pinched pointwise
+    between eta and w, under subword order.
+
+    Distinct from the ambient interval [u, w]; Morse contributions per
+    embedding and the Mobius value of this subposet differ in general.
+    """
+    w = check_word(poset, w)
+    if not is_embedding(poset, eta, w):
+        raise DomainError("eta is not an embedding in w")
+    slots = [poset.interval0(x, w[j]) for j, x in enumerate(eta)]
+    out = {restrict(acc) for acc in itertools.product(*slots)}
+    return sorted(out, key=lambda v: (len(v), v))
+
+
+def mobius_embedding_subposet(
+    poset: FinitePoset, eta: Embedding, w: Sequence[int]
+) -> int:
+    """Mobius value from restrict(eta) to w inside the subposet [eta, w].
+
+    restrict(eta) and w are its bottom and top, so this is the chain-count
+    Mobius value of the open part between them.
+    """
+    nodes = embedding_subposet(poset, eta, w)
+    bottom, top = restrict(eta), tuple(w)
+    if bottom == top:
+        return 1
+    return mobius_hat_chain_count(
+        [v for v in nodes if v not in (bottom, top)],
+        lambda a, b: trusted_leq(poset, a, b),
+    )
+
+
+class ChainContext:
+    """All maximal chains of one interval, PLO-sorted, with element sets: the
+    brute-force reference for skipped intervals."""
+
+    def __init__(self, engine: MorseEngine, u: Word, w: Word, chains: list[LabeledChain]):
+        self.engine = engine
+        self.u = u
+        self.w = w
+        self.chains = chains
+        self.sets = [frozenset(c.words) for c in self.chains]
+        self._index = {c.labels: i for i, c in enumerate(self.chains)}
+        if len(self._index) != len(self.chains):
+            raise InputError("duplicate label sequences: PLO is not total here")
+
+    def index_of(self, chain: LabeledChain) -> int:
+        try:
+            return self._index[chain.labels]
+        except KeyError:
+            raise DomainError("chain does not belong to this interval") from None
+
+    def skipped_intervals(self, chain: LabeledChain) -> list[IndexInterval]:
+        """All SIs of chain, by containment checks against PLO-earlier chains."""
+        elems = chain.words
+        lo, hi = chain.open_range()
+        earlier = self.sets[: self.index_of(chain)]
+        out: list[IndexInterval] = []
+        for i in range(lo, hi + 1):
+            for j in range(i, hi + 1):
+                needed = frozenset(elems[:i]) | frozenset(elems[j + 1 :])
+                if any(needed <= s for s in earlier):
+                    out.append((i, j))
+        return out
+
+    def msis(self, chain: LabeledChain) -> list[IndexInterval]:
+        return _minimal_intervals(self.skipped_intervals(chain))
+
+    def decomposition(self, chain: LabeledChain) -> MsiDecomposition:
+        return decompose(chain, self.msis(chain))
+
+
+def all_chains(
+    engine: MorseEngine, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
+) -> ChainContext:
+    """Every maximal chain of [u, w], PLO-sorted."""
+    u = check_word(engine.poset, u)
+    w = check_word(engine.poset, w)
+    if not trusted_leq(engine.poset, u, w):
+        raise DomainError("all_chains requires u <= w")
+    chains = list(itertools.islice(engine.chains(w, u, decreasing=False), max_chains + 1))
+    if len(chains) > max_chains:
+        raise ResourceLimitError(f"interval has more than {max_chains} maximal chains")
+    return ChainContext(engine, u, w, chains)
+
+
+def _minimal_intervals(intervals: Sequence[IndexInterval]) -> list[IndexInterval]:
+    uniq = sorted(set(intervals))
+    return [
+        iv
+        for iv in uniq
+        if not any(o != iv and iv[0] <= o[0] and o[1] <= iv[1] for o in uniq)
+    ]

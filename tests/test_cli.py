@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import subword
-from subword.cli import main
+from subword import cli
+from subword.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -384,3 +387,40 @@ def test_verify_rejects_bad_caps(capsys, monkeypatch, flags, env):
 def test_verify_caps_large_enough_change_nothing(capsys):
     argv = ["verify", "--posets", "lambda", "--max-w", "2"]
     assert run(capsys, *argv, "--max-nodes", "13", "--max-chains", "40") == run(capsys, *argv)
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of main(argv), argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+WORDS = ["--poset", "lambda", "--u", "1", "--w", "33"]
+PARITY = [
+    ["--help"],
+    [],
+    ["bogus"],
+    *([name, "--help"] for name in COMMANDS),
+    ["mobius"],
+    ["verify", "--max-w"],
+    ["mobius", *WORDS, "--method", "bad"],
+    ["mobius", *WORDS, "stray"],
+    ["interval", *WORDS, "--format", "svg"],
+    ["chebyshev", "--s", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY, ids=[" ".join(a) or "(none)" for a in PARITY])
+def test_lazy_parser_matches_the_full_one(argv, monkeypatch):
+    # main builds only the named subcommand's parser; every byte and exit code
+    # must be what the parser with all six subcommands gives
+    lazy = _outcome(argv)
+    assert lazy[0] != 0 or argv[-1] == "--help"
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert _outcome(argv) == lazy

@@ -4,8 +4,7 @@ import pytest
 
 from subword import build_interval, builtin_poset, is_leq_words, natural_labeling, parse_word
 from subword.errors import ResourceLimitError
-from subword.poset import random_poset
-from subword.verify import all_words
+from subword.verify import all_words, random_poset
 
 
 def words_below(poset, w):

@@ -34,11 +34,12 @@ from subword import (
     rank_word,
     tomie_T,
 )
+from subword import interval as interval_module
 from subword import mobius as mobius_module
+from subword.interval import interval_covers
 from subword.morse import MorseEngine
-from subword.poset import random_poset
-from subword.verify import all_words
-from subword.words import interval_covers
+from subword.specializations import is_rooted_forest
+from subword.verify import all_chains, all_words, random_poset
 
 
 def emb(poset, text):
@@ -175,7 +176,7 @@ def test_mobius_forest_matches_bjorner_on_antichains():
 
 def test_mobius_forest_on_two_tree_forest():
     forest = FinitePoset(["1", "2", "3", "4", "5"], [(0, 1), (0, 2), (3, 4)])
-    assert forest.is_rooted_forest()
+    assert is_rooted_forest(forest)
     for w in [(1, 4), (2, 2), (1, 2, 4), (4, 0, 1)]:
         for u in build_interval(forest, (), w).nodes:
             assert mobius_forest(forest, u, w) == mobius_main(forest, u, w).value
@@ -288,7 +289,8 @@ def test_homotopy_type_builds_no_interval(lam, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("homotopy_type built an interval")
 
-    monkeypatch.setattr(mobius_module, "build_interval", refuse)
+    for name in ("build_interval", "interval_covers"):
+        monkeypatch.setattr(interval_module, name, refuse)
     report = homotopy_type(lam, parse_word(lam, "1"), (2,) * 13)
     assert report.describe() == "wedge of 28672 spheres, dim 23"
     assert (report.rank_w, report.rank_u) == (26, 1)
@@ -308,7 +310,7 @@ def test_homotopy_type_errors(lam):
 def test_rank_le1_chain_purity(lam):
     # all maximal chains of an interval have the same length when rk(P) <= 1
     for u_txt, w_txt in [("", "333"), ("11", "333"), ("1", "233")]:
-        chains = MorseEngine(lam).all_chains(parse_word(lam, u_txt), parse_word(lam, w_txt))
+        chains = all_chains(MorseEngine(lam), parse_word(lam, u_txt), parse_word(lam, w_txt))
         lengths = {len(c.words) for c in chains.chains}
         assert len(lengths) == 1
 

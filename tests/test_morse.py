@@ -18,10 +18,16 @@ from subword import (
     parse_word,
     restrict,
 )
-from subword.morse import LabeledChain, MorseEngine, _minimal_intervals, j_construction
-from subword.poset import all_linear_extensions, random_poset
-from subword.verify import all_words
-from subword.words import interval_covers, trusted_leq
+from subword.morse import LabeledChain, MorseEngine, j_construction
+from subword.interval import interval_covers
+from subword.verify import (
+    _minimal_intervals,
+    all_chains,
+    all_linear_extensions,
+    all_words,
+    random_poset,
+)
+from subword.words import trusted_leq
 
 CHAIN3 = builtin_poset("chain:3")
 BUILTINS = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
@@ -108,7 +114,7 @@ def test_plo_total_on_interval():
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
             for u in build_interval(poset, (), w).nodes:
-                keys = [eng.plo_key(c) for c in eng.all_chains(u, w).chains]
+                keys = [eng.plo_key(c) for c in all_chains(eng, u, w).chains]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 checked += 1
     assert checked == 4057
@@ -137,7 +143,7 @@ def test_chain_specified_by_consistent_permutations(lam):
     # every consistent permutation specifies a chain ending at the same word,
     # with canonical labels lex <= the permuted input
     eng = MorseEngine(lam)
-    ctx = eng.all_chains(parse_word(lam, "11"), parse_word(lam, "333"))
+    ctx = all_chains(eng, parse_word(lam, "11"), parse_word(lam, "333"))
     for chain in ctx.chains:
         for perm in itertools.permutations(chain.labels):
             per_pos = {}
@@ -169,31 +175,31 @@ def test_chain_specified_by_bad_label(lam):
 
 def test_sis_of_chain_d(lam):
     eng = MorseEngine(lam)
-    ctx = eng.all_chains(parse_word(lam, "11"), parse_word(lam, "333"))
+    ctx = all_chains(eng, parse_word(lam, "11"), parse_word(lam, "333"))
     d = eng.label_chain(words(lam, "333", "332", "33", "31", "11"))
-    sis = eng.skipped_intervals(d, ctx)
+    sis = ctx.skipped_intervals(d)
     assert (1, 1) in sis  # {332}
     assert (1, 3) in sis  # {332, 33, 31}
-    msis = eng.msis(d, ctx)
+    msis = ctx.msis(d)
     assert msis == [(1, 1), (2, 2), (3, 3)]
-    dec = eng.decomposition(d, ctx)
+    dec = ctx.decomposition(d)
     assert dec.is_critical and dec.critical_dimension == 2
 
 
 def test_plo_first_chain_has_no_sis(lam):
     eng = MorseEngine(lam)
-    ctx = eng.all_chains(parse_word(lam, "11"), parse_word(lam, "333"))
-    assert eng.skipped_intervals(ctx.chains[0], ctx) == []
+    ctx = all_chains(eng, parse_word(lam, "11"), parse_word(lam, "333"))
+    assert ctx.skipped_intervals(ctx.chains[0]) == []
 
 
 def test_descent_example(lam):
     # 322 > 32 > 22 has the 1-descent {32}, beaten by 322 > 222 > 022
     eng = MorseEngine(lam)
     u, w = parse_word(lam, "22"), parse_word(lam, "322")
-    ctx = eng.all_chains(u, w)
+    ctx = all_chains(eng, u, w)
     chain = eng.label_chain(words(lam, "322", "32", "22"))
     assert chain.labels == L(lam, "<2,0> <1,2>")
-    assert eng.msis(chain, ctx) == [(1, 1)]
+    assert ctx.msis(chain) == [(1, 1)]
     earlier = eng.label_chain(words(lam, "322", "222", "22"))
     assert eng.plo_compare(earlier, chain) == -1
 
@@ -202,9 +208,9 @@ def test_descents_are_singleton_msis(lam):
     eng = MorseEngine(lam)
     for w_txt, u_txt in [("333", "11"), ("322", "2"), ("133", "")]:
         u, w = parse_word(lam, u_txt), parse_word(lam, w_txt)
-        ctx = eng.all_chains(u, w)
+        ctx = all_chains(eng, u, w)
         for chain in ctx.chains:
-            sis = eng.skipped_intervals(chain, ctx)
+            sis = ctx.skipped_intervals(chain)
             lo, hi = chain.open_range()
             for k in range(lo, hi + 1):
                 if chain.labels[k][0] < chain.labels[k - 1][0]:
@@ -215,9 +221,9 @@ def test_no_msi_contains_an_ascent(lam):
     eng = MorseEngine(lam)
     for w_txt, u_txt in [("333", "11"), ("322", "2"), ("133", "")]:
         u, w = parse_word(lam, u_txt), parse_word(lam, w_txt)
-        ctx = eng.all_chains(u, w)
+        ctx = all_chains(eng, u, w)
         for chain in ctx.chains:
-            for a, b in eng.msis(chain, ctx):
+            for a, b in ctx.msis(chain):
                 for k in range(a, b + 1):
                     assert chain.labels[k][0] <= chain.labels[k - 1][0]
 
@@ -230,10 +236,10 @@ def test_fast_si_test_matches_brute_force(lam, fig3):
         eng = MorseEngine(poset)
         for w_txt, u_txt in pairs:
             u, w = parse_word(poset, u_txt), parse_word(poset, w_txt)
-            ctx = eng.all_chains(u, w)
+            ctx = all_chains(eng, u, w)
             for chain in ctx.chains:
-                assert eng.msis(chain, ctx) == eng.msis_direct(chain)
-                brute = eng.decomposition(chain, ctx)
+                assert ctx.msis(chain) == eng.msis_direct(chain)
+                brute = ctx.decomposition(chain)
                 fast = eng.decomposition_direct(chain)
                 assert brute.is_critical == fast.is_critical
                 assert brute.j_intervals == fast.j_intervals
@@ -276,7 +282,7 @@ def test_is_si_matches_full_walk():
     for poset in posets:
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
-            for chain in eng._chains(w, None, decreasing=True):
+            for chain in eng.chains(w, None, decreasing=True):
                 lo, hi = chain.open_range()
                 for i in range(lo, hi + 1):
                     for j in range(i, hi + 1):
@@ -329,7 +335,7 @@ def per_prefix_morse_below(eng, w, prefix_msis):
     """Reference mu(., w) table: the walk with the J-construction of the
     clip-and-minimise loop on every prefix's MSIs, given in walk order."""
     table = {}
-    for chain, msis in zip(eng._chains(w, None, decreasing=True), prefix_msis):
+    for chain, msis in zip(eng.chains(w, None, decreasing=True), prefix_msis):
         js, critical = clip_and_minimise(msis, *chain.open_range())
         if critical:
             table[chain.bottom] = table.get(chain.bottom, 0) + (-1) ** (len(js) - 1)
@@ -342,17 +348,17 @@ def per_prefix_morse_below(eng, w, prefix_msis):
 def test_two_pointer_msis_match_all_pairs_scan(lam, fig3):
     eng = MorseEngine(lam)
     w5, w6 = parse_word(lam, "33333"), parse_word(lam, "333333")
-    chains = [(eng, c) for c in eng._chains(w5, None, decreasing=True)]
+    chains = [(eng, c) for c in eng.chains(w5, None, decreasing=True)]
     for u_txt in ("", "1"):
         bottom = parse_word(lam, u_txt)
-        chains += [(eng, c) for c in eng._chains(w6, bottom, decreasing=True)]
+        chains += [(eng, c) for c in eng.chains(w6, bottom, decreasing=True)]
     # here a least SI (i, f(i)) can contain the one starting at i + 1
     for poset, max_w in ((CHAIN3, 3), (fig3, 2)):
         eng = MorseEngine(poset)
         chains += [
             (eng, c)
             for w in all_words(poset, max_w)
-            for c in eng._chains(w, None, decreasing=True)
+            for c in eng.chains(w, None, decreasing=True)
         ]
     for eng, chain in chains:
         expected = all_pairs_msis(eng, chain)
@@ -370,7 +376,7 @@ def test_carried_scan_matches_per_prefix_references():
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
             reference = []
-            for chain in eng._chains(w, None, decreasing=True):
+            for chain in eng.chains(w, None, decreasing=True):
                 reference.append(two_pointer_msis(eng, chain))
                 assert eng.msis_direct(chain) == reference[-1]
             table = per_prefix_morse_below(eng, w, reference)
@@ -454,7 +460,7 @@ def test_pruned_walk_and_carried_scan_match_references():
         for w in all_words(poset, 2 if poset.n > 5 else 3):
             for u in interval_covers(poset, (), w, 10**6):
                 chains = unpruned_decreasing_chains(eng, w, u)
-                assert list(eng._chains(w, u, decreasing=True)) == chains
+                assert list(eng.chains(w, u, decreasing=True)) == chains
                 expected = folded_critical_chains(eng, chains) if u != w else []
                 assert eng.critical_chains(u, w) == expected
                 intervals += 1
@@ -569,7 +575,7 @@ def test_mobius_morse_below_enforces_its_caps(lam):
     assert eng.mobius_morse_below(w, max_nodes=len(table)) == table
     with pytest.raises(ResourceLimitError, match="5-node cap"):
         eng.mobius_morse_below(w, max_nodes=5)
-    walked = sum(1 for _ in eng._chains(w, None, decreasing=True))
+    walked = sum(1 for _ in eng.chains(w, None, decreasing=True))
     assert eng.mobius_morse_below(w, max_chains=walked) == table
     with pytest.raises(ResourceLimitError, match=f"more than {walked - 1} strictly"):
         eng.mobius_morse_below(w, max_chains=walked - 1)
@@ -592,6 +598,39 @@ def test_per_embedding_mu_matches_contribution(lam, fig3):
             assert total == eng.mobius_morse(u, w)
 
 
+def classify_single_position_msi(eng, chain):
+    """Predict whether C(w, eta) is an MSI when eta differs from w in one slot.
+
+    The track of that slot j is a maximal chain of the P0 interval
+    [eta(j), w(j)], which is the one-letter interval [(eta(j)), (w(j))] of
+    subword order, or [empty, (w(j))] when eta(j) is 0: same covers, same
+    label keys, all at position 1.  Its SIs are read there by the exact test.
+    """
+    w = chain.top
+    eta = chain.final_embedding
+    diff = [j for j in range(len(w)) if eta[j] != w[j]]
+    if len(diff) != 1:
+        raise DomainError("endpoints must differ in exactly one position")
+    j = diff[0]
+    track = [restrict((e[j],)) for e in chain.embeddings]
+    if len(track) <= 2:
+        return False  # empty open interval cannot be an MSI
+    above = eng.poset.above
+    left = w[j - 1] if eta[j] == ZERO and j > 0 else None
+    rightmost = left is None or w[j] not in above[left]
+    if not rightmost and any(x in above[left] for (x,) in track[1:-1]):
+        return False
+    one_letter = eng.label_chain(track)
+    lo, hi = full = one_letter.open_range()
+    sis = [
+        (i, k)
+        for i in range(lo, hi + 1)
+        for k in range(i, hi + 1)
+        if eng.is_si(one_letter, (i, k))
+    ]
+    return sis == [full] if rightmost else all(si == full for si in sis)
+
+
 def test_classify_single_position_msi():
     # prediction agrees with brute force on every single-position chain of
     # every [u, w] with |w| <= 2 (|w| <= 3 when |P| <= 3)
@@ -601,7 +640,7 @@ def test_classify_single_position_msi():
         eng = MorseEngine(poset)
         for w in all_words(poset, 3 if poset.n <= 3 else 2):
             for u in build_interval(poset, (), w).nodes:
-                ctx = eng.all_chains(u, w)
+                ctx = all_chains(eng, u, w)
                 for chain in ctx.chains:
                     diff = [
                         j
@@ -611,8 +650,8 @@ def test_classify_single_position_msi():
                     if len(diff) != 1:
                         continue
                     lo, hi = chain.open_range()
-                    brute = eng.msis(chain, ctx) == [(lo, hi)] if hi >= lo else False
-                    assert eng.classify_single_position_msi(chain) == brute
+                    brute = ctx.msis(chain) == [(lo, hi)] if hi >= lo else False
+                    assert classify_single_position_msi(eng, chain) == brute
                     checked += 1
     assert checked == 2525
 
@@ -665,9 +704,9 @@ def test_one_letter_intervals_have_the_p0_skipped_intervals():
             for x in [ZERO] + [x for x in range(poset.n) if x != y and y in poset.above[x]]:
                 for chain0 in p0_maximal_chains(poset, x, y):
                     track = [restrict((z,)) for z in chain0]
-                    ctx = eng.all_chains(track[-1], track[0])
+                    ctx = all_chains(eng, track[-1], track[0])
                     chain = eng.label_chain(track)
-                    assert eng.skipped_intervals(chain, ctx) == p0_skipped_intervals(
+                    assert ctx.skipped_intervals(chain) == p0_skipped_intervals(
                         poset, chain0
                     )
                     checked += 1

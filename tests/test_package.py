@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -14,17 +15,18 @@ def test_all_names_resolve_and_are_not_modules():
 
 
 # Imports a target, or runs `subword.cli.main(argv)`, then prints on its last
-# line the loaded modules named "subword*", "numpy*" or "dataclasses".
+# line the loaded modules named "subword*", "numpy*", "dataclasses" or "json".
+# It imports no such module itself, so json shows only where the program loads it.
 _LOADED_MODULES = """
-import json, sys
+import sys
 argv = sys.argv[1:]
 if argv[0] == "import":
     __import__(argv[1])
 else:
     from subword.cli import main
     assert main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith(("subword", "numpy")) or m == "dataclasses")))
+print(sorted(m for m in sys.modules
+             if m.startswith(("subword", "numpy")) or m in ("dataclasses", "json")))
 """
 
 
@@ -35,32 +37,36 @@ def _loaded_modules(*argv):
         [sys.executable, "-c", _LOADED_MODULES, *argv],
         env=env, capture_output=True, text=True, check=True,
     )
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    return {m.removeprefix("subword.") for m in ast.literal_eval(out.stdout.splitlines()[-1])}
 
 
 def test_cli_import_does_not_load_numpy():
-    # Each subcommand imports only the route it runs; nothing loads numpy or
-    # dataclasses (whose import pulls in inspect, ast and dis).
-    assert _loaded_modules("import", "subword") == {"subword"}
-    assert _loaded_modules("import", "subword.cli") == {
-        "subword", "subword.cli", "subword.errors", "subword.poset", "subword.words",
-    }
+    # Each subcommand loads only the route it runs, json only where JSON is
+    # read or written, and nothing loads numpy or dataclasses (whose import
+    # pulls in inspect, ast and dis).  The formula and chebyshev routes load
+    # no interval, specialization, Morse or verify module.
+    cli = {"subword", "cli", "errors", "poset", "words"}
     words = ["--poset", "lambda", "--u", "1", "--w", "33"]
-    loaded = {
-        "mobius": _loaded_modules("mobius", *words),
-        "chebyshev": _loaded_modules("chebyshev", "--s", "2", "--max-n", "3"),
-        "interval": _loaded_modules("interval", *words),
-        "morse": _loaded_modules("mobius", *words, "--method", "all"),
-        "critical-chains": _loaded_modules("critical-chains", *words),
-        "homotopy": _loaded_modules("homotopy", *words),
-        "verify": _loaded_modules("verify", "--posets", "lambda", "--max-w", "1"),
-    }
-    for name in ("mobius", "chebyshev"):
-        assert not loaded[name] & {"subword.morse", "subword.verify"}, name
-    assert "subword.mobius" not in loaded["interval"]
-    assert "subword.morse" in loaded["morse"] and "subword.verify" in loaded["verify"]
-    for name, modules in loaded.items():
-        assert not any(m == "dataclasses" or m.startswith("numpy") for m in modules), name
+    expected = [
+        (["import", "subword"], {"subword"}),
+        (["import", "subword.cli"], cli),
+        (["mobius", *words], cli | {"mobius"}),
+        (["chebyshev", "--s", "2", "--max-n", "3"], cli | {"mobius", "chebyshev"}),
+        (["mobius", *words, "--method", "oracle"], cli | {"mobius", "interval"}),
+        (["mobius", *words, "--method", "all"], cli | {"mobius", "interval", "morse"}),
+        (["mobius", *words, "--format", "json"], cli | {"mobius", "json"}),
+        (["interval", *words], cli | {"commands", "interval"}),
+        (["interval", *words, "--format", "json"], cli | {"commands", "interval", "json"}),
+        (["critical-chains", *words], cli | {"commands", "morse"}),
+        (["homotopy", *words], cli | {"commands", "homotopy", "mobius"}),
+        (
+            ["verify", "--posets", "lambda", "--max-w", "1"],
+            cli | {"commands", "verify", "chebyshev", "interval", "mobius", "morse",
+                   "specializations"},
+        ),
+    ]
+    for argv, modules in expected:
+        assert _loaded_modules(*argv) == modules, argv
 
 
 def test_traced_replay_reaches_patched_names(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import subword.verify as verify
 from subword import InputError
 from subword.morse import MorseEngine
+from subword.verify import ChainContext
 from subword.verify import (
     SuiteResult,
     all_words,
@@ -194,12 +195,12 @@ LEMMA_FAULT_FIRST_FAILURES = [
 def test_injected_lemma_fault_is_named(lam, monkeypatch):
     # brute-force SIs that lose every singleton: each kind of lemma
     # counterexample names its interval, chain and loop position
-    real = MorseEngine.skipped_intervals
+    real = ChainContext.skipped_intervals
 
-    def no_singletons(self, chain, context):
-        return [(i, j) for i, j in real(self, chain, context) if i != j]
+    def no_singletons(self, chain):
+        return [(i, j) for i, j in real(self, chain) if i != j]
 
-    monkeypatch.setattr(MorseEngine, "skipped_intervals", no_singletons)
+    monkeypatch.setattr(ChainContext, "skipped_intervals", no_singletons)
     result = run_lemmas(sweep([("lambda", lam)], 2))
     assert result.checks == 462 and len(result.failures) == 263
     assert result.failures[:21] == LEMMA_FAULT_FIRST_FAILURES
@@ -212,3 +213,46 @@ def test_suite_result_record():
     r.record(True, "nope")
     r.record(False, "bad case")
     assert r.checks == 2 and r.failures == ["bad case"] and not r.passed
+
+
+def test_sweep_keeps_no_move_memo_of_shorter_words(fig3):
+    # the move memo is keyed by embeddings of length |w|, so a sweep that has
+    # moved to a longer w holds none of the shorter words' entries
+    seen = 0
+    for interval in sweep([("fig3", fig3)], 2):
+        run_morse_agreement([interval])
+        lengths = {len(eta) for eta in interval.engine._move_cache}
+        assert lengths <= {len(interval.w)}, interval.w
+        seen += len(interval.engine._move_cache)
+    assert seen > 0
+
+
+def test_run_all_searches_each_interval_once(monkeypatch):
+    # the Morse table reads the sweep's node list instead of its own search
+    import subword.interval as interval
+
+    real, calls = interval.interval_covers, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(interval, "interval_covers", counted)
+    results = run_all("lambda,chain:2", 2)
+    assert all(r.passed for r in results)
+    assert len(calls) == 13 + 7
+
+
+def test_run_all_builds_only_the_tables_it_reads(monkeypatch):
+    # past --max-w only the lemma and inclusion-exclusion suites run, and
+    # neither reads a formula table
+    real, calls = verify.mobius_main_below, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "mobius_main_below", counted)
+    results = run_all("lambda", 1, lemma_max_w=3)
+    assert {r.name: r.checks for r in results}["lemma-suite"] == 14804
+    assert calls == [(), (0,), (1,), (2,)]

@@ -24,8 +24,7 @@ from subword import (
     runs,
 )
 from subword.morse import MorseEngine
-from subword.poset import random_poset
-from subword.verify import all_words
+from subword.verify import all_chains, all_words, random_poset
 
 CHAIN3 = builtin_poset("chain:3")
 
@@ -182,10 +181,10 @@ def test_build_interval_errors(lam):
 def test_maximal_chains(lam):
     u, w = parse_word(lam, "11"), parse_word(lam, "333")
     eng = MorseEngine(lam)
-    for chain in eng.all_chains(u, w).chains:
+    for chain in all_chains(eng, u, w).chains:
         assert chain.words[0] == w and chain.words[-1] == u
     with pytest.raises(ResourceLimitError):
-        eng.all_chains(u, w, max_chains=2)
+        all_chains(eng, u, w, max_chains=2)
 
 
 def test_mobius_passes_agree(lam):
