@@ -5,31 +5,25 @@ rightmost-zeroing convention, totally ordered lexicographically (a PLO), and
 analyzed for skipped intervals, MSIs, J-intervals and criticality.  The Morse
 route to the Mobius function sums (-1)^d over critical chains.
 
-A skipped interval (SI) is decided by an exact direct test
-(:meth:`MorseEngine.is_si`): an interval I of C is skipped iff the
-PLO-minimum maximal chain through C - I precedes C.  That chain is never
-later than C, so the test is decided where it first leaves C, and it looks
-only at C's own steps across I.  Combined with generating only chains whose
-label sequences strictly decrease (no other chain can be critical), this
-keeps large sweeps feasible.  The brute-force reference, which quantifies
-over all PLO-earlier chains, lives with the verification suites (module
-``verify``).
+Only a chain whose labels strictly decrease can be critical, so every Morse
+route reads one walk (:meth:`MorseEngine.walk`): a DFS over those chains in
+PLO order that carries each prefix's MSI scan on its stack.  The direct test
+of an interval (i, j) (:meth:`MorseEngine.is_si`) reads only a chain's first
+j + 2 words: I is skipped iff the PLO-minimum maximal chain through C - I
+precedes C, and that chain is decided where it first leaves C.  So a step of
+the walk tests the new last index only for the starts i not yet closed
+(:meth:`MorseEngine._carry_msi_scan`), and :meth:`MorseEngine.msis_direct` is
+the fold of that step.  The J-intervals then come from one left-to-right
+pass over the MSIs (:func:`j_construction`).  The brute-force reference,
+which quantifies over all PLO-earlier chains, lives with the verification
+suites (module ``verify``).
 
-The walk to a bottom u keeps only prefixes that can still reach u.  Labels
-strictly decrease, so after a move at position p the slots after p never
-change again: a move is kept only if the word on those frozen slots is a
-suffix of u and the rest of u lies below the word on slots 1..p.  This
-implies u <= v for the new word v, the only test of the unrestricted walk,
-and cuts the dead ends that made the walk grow far faster than its chains.
-
-The direct test of (i, j) reads only C's first j + 2 words, so the MSI scan
-is carried along a chain one step at a time: a step tests the new last index
-only for the starts i not yet closed, and :meth:`MorseEngine.msis_direct` is
-the fold of that step.  :meth:`MorseEngine.mobius_morse_below` carries it
-along the walk from parent prefix to child, and
-:meth:`MorseEngine.critical_chains` keeps the scans of the labels a chain
-shares with the one before it and carries only the rest.  The J-intervals
-then come from one left-to-right pass over the MSIs (:func:`j_construction`).
+The walk to a bottom u takes a move only if u is still reachable after it.
+Labels strictly decrease, so after a move at position p the slots after p
+never change again: they must carry a suffix of u, with the rest of u below
+the slots up to p.  Past that cheap test, reachability is decided exactly
+and memoized on (embedding, last label key), so every prefix walked lies on
+a chain to u and the work grows with the chains, not with the dead ends.
 """
 
 from __future__ import annotations
@@ -41,18 +35,17 @@ from .errors import DomainError, InputError, ResourceLimitError, check_i64
 from .poset import ZERO, FinitePoset
 from .words import (
     DEFAULT_MAX_CHAINS,
-    DEFAULT_MAX_NODES,
     Embedding,
     Word,
     check_word,
     format_word,
-    is_embedding,
     lower_covers,
     restrict,
     trusted_leq,
 )
 
 Label = tuple[int, int]  # (1-based position in w, letter id or ZERO)
+Move = tuple[Label, Embedding, Word]  # a cover move: its label, embedding and word
 IndexInterval = tuple[int, int]  # inclusive indices into a chain's word list
 
 
@@ -89,7 +82,8 @@ def natural_labeling(poset: FinitePoset) -> NaturalLabeling:
 
 
 class LabeledChain(NamedTuple):
-    """A maximal chain of [u, w] with its embedding track and label sequence."""
+    """A maximal chain of [u, w] with its embedding track and label sequence
+    (lists in the live view that :meth:`MorseEngine.walk` yields)."""
 
     poset: FinitePoset
     words: tuple[Word, ...]  # top w first, bottom u last
@@ -170,7 +164,7 @@ class MorseEngine:
         self.labeling = labeling if labeling is not None else natural_labeling(poset)
         # label of each id, with label(ZERO) = 0 last so that index ZERO = -1 reads it
         self._label = self.labeling.labels + (0,)
-        self._move_cache: dict[Embedding, tuple[tuple[Label, Embedding], ...]] = {}
+        self._move_cache: dict[Embedding, tuple[Move, ...]] = {}
 
     # -- labels and the PLO ---------------------------------------------------
 
@@ -189,8 +183,9 @@ class MorseEngine:
 
     # -- cover moves ----------------------------------------------------------
 
-    def cover_moves(self, eta: Embedding) -> tuple[tuple[Label, Embedding], ...]:
-        """All covers of the word carried by eta, as canonically labeled moves.
+    def cover_moves(self, eta: Embedding) -> tuple[Move, ...]:
+        """All covers of the word carried by eta, as canonically labeled moves
+        (label, embedding, word), the word being the embedding restricted.
 
         The moves are those of :func:`lower_covers`; a deletion zeroes the
         first position of its run (the rightmost embedding of the shorter
@@ -199,13 +194,12 @@ class MorseEngine:
         cached = self._move_cache.get(eta)
         if cached is not None:
             return cached
-        moves = [
-            ((j + 1, y), eta[:j] + (y,) + eta[j + 1 :])
-            for j, y in lower_covers(self.poset, eta)
-        ]
+        moves = []
+        for j, y in lower_covers(self.poset, eta):
+            nxt = eta[:j] + (y,) + eta[j + 1 :]
+            moves.append(((j + 1, y), nxt, restrict(nxt)))
         moves.sort(key=lambda m: self.label_key(m[0]))
-        result = tuple(moves)
-        self._move_cache[eta] = result
+        result = self._move_cache[eta] = tuple(moves)
         return result
 
     def label_chain(self, words: Sequence[Word]) -> LabeledChain:
@@ -216,8 +210,8 @@ class MorseEngine:
         etas: list[Embedding] = [tuple(words[0])]
         labels: list[Label] = []
         for v in words[1:]:
-            for label, eta in self.cover_moves(etas[-1]):
-                if restrict(eta) == v:
+            for label, eta, word in self.cover_moves(etas[-1]):
+                if word == v:
                     etas.append(eta)
                     labels.append(label)
                     break
@@ -243,60 +237,81 @@ class MorseEngine:
             words.append(restrict(tuple(eta)))
         return self.label_chain(words)
 
-    # -- chain enumeration ----------------------------------------------------
+    # -- the strictly decreasing walk -----------------------------------------
 
-    def chains(
-        self, w: Word, u: Word | None, decreasing: bool
-    ) -> Iterator[LabeledChain]:
-        """Saturated descending chains from w, in PLO order; with decreasing,
-        only those whose labels strictly decrease.
+    def _moves_below(
+        self, eta: Embedding, last: tuple[int, int]
+    ) -> Iterator[tuple[Label, Embedding, Word, tuple[int, int]]]:
+        """The moves from eta whose label key is below last, with that key."""
+        for label, nxt, word in self.cover_moves(eta):
+            key = self.label_key(label)
+            if key >= last:
+                return  # the moves come sorted by label key
+            yield label, nxt, word, key
 
-        With u given, only full chains down to u are yielded; with u None every
-        proper descending prefix is yielded (its endpoint is the chain bottom).
-        With u given and decreasing, a move is kept only if its frozen tail
-        still lets the walk reach u (see :meth:`_can_reach`).
+    def walk(
+        self, w: Word, u: Word | None = None, max_chains: int = DEFAULT_MAX_CHAINS
+    ) -> Iterator[tuple[LabeledChain, list[int]]]:
+        """The strictly decreasing chains from w in PLO order, each with its
+        MSI scan, carried from its parent prefix (:meth:`_carry_msi_scan`).
+
+        With u None every proper prefix is yielded; with u given, every chain
+        down to u, and a move is taken only if u is still reachable after it,
+        so every prefix walked lies on a chain to u.  The chain yielded is one
+        live view of the walk's stacks (lists, not tuples): read it before the
+        walk resumes.  More than max_chains yields is a
+        :class:`ResourceLimitError`.
         """
-        etas: list[Embedding] = [tuple(w)]
-        words: list[Word] = [w]
-        labels: list[Label] = []
+        path = LabeledChain(self.poset, [w], [tuple(w)], [])
+        _, words, etas, labels = path
+        reach: dict[tuple[Embedding, tuple[int, int]], bool] = {}
+        count = 0
 
-        def emit() -> LabeledChain:
-            return LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
+        def reaches(eta: Embedding, word: Word, key: tuple[int, int]) -> bool:
+            """Whether a walk on from eta with labels below key ends at u.
+            The slots after the last move's position p never change again,
+            so they must carry u's tail, with u's head below the slots up to
+            p; past that cheap test the answer is memoized on (eta, key)."""
+            if word == u:
+                return True
+            hit = reach.get((eta, key))
+            if hit is None:
+                p = key[0]
+                tail = restrict(eta[p:])
+                k = len(u) - len(tail)
+                hit = reach[eta, key] = (
+                    k >= 0
+                    and u[k:] == tail
+                    and trusted_leq(self.poset, u[:k], restrict(eta[:p]))
+                    and any(reaches(*move[1:]) for move in self._moves_below(eta, key))
+                )
+            return hit
 
-        def descend() -> Iterator[LabeledChain]:
-            if u is None and len(words) > 1:
-                yield emit()
-            elif u is not None and words[-1] == u:
-                yield emit()
-                return
-            last = self.label_key(labels[-1]) if decreasing and labels else None
-            for label, eta in self.cover_moves(etas[-1]):
-                if last is not None and self.label_key(label) >= last:
-                    break  # the moves come sorted by label key
-                v = restrict(eta)
-                if u is not None and not (
-                    self._can_reach(u, eta, label[0])
-                    if decreasing
-                    else trusted_leq(self.poset, u, v)
-                ):
+        def descend(
+            last: tuple[int, int], scan: list[int]
+        ) -> Iterator[tuple[LabeledChain, list[int]]]:
+            nonlocal count
+            at_u = words[-1] == u
+            if at_u or u is None and len(words) > 1:
+                count += 1
+                if count > max_chains:
+                    raise ResourceLimitError(
+                        f"interval has more than {max_chains} strictly decreasing chains"
+                    )
+                yield path, scan
+                if at_u:
+                    return
+            for label, eta, word, key in self._moves_below(etas[-1], last):
+                if u is not None and not reaches(eta, word, key):
                     continue
                 etas.append(eta)
-                words.append(v)
+                words.append(word)
                 labels.append(label)
-                yield from descend()
-                etas.pop()
-                words.pop()
-                labels.pop()
+                hi = len(words) - 2
+                yield from descend(key, self._carry_msi_scan(path, scan, hi) if hi else scan)
+                del etas[-1], words[-1], labels[-1]
 
-        yield from descend()
-
-    def _can_reach(self, u: Word, eta: Embedding, p: int) -> bool:
-        """Whether a strictly decreasing walk on from eta, after a move at
-        position p, can end at u: every later move is at p or before, so the
-        slots after p are u's tail and u's head lies below the slots up to p."""
-        tail = restrict(eta[p:])
-        k = len(u) - len(tail)
-        return k >= 0 and u[k:] == tail and trusted_leq(self.poset, u[:k], restrict(eta[:p]))
+        yield from descend((len(w) + 1, 0), [])
 
     # -- skipped intervals: first divergence from C ----------------------------
 
@@ -316,10 +331,10 @@ class MorseEngine:
         target = chain.words[j + 1]
         for k in range(i - 1, j + 1):
             own = chain.labels[k]
-            for label, eta in self.cover_moves(chain.embeddings[k]):
+            for label, _, word in self.cover_moves(chain.embeddings[k]):
                 if label == own:
                     break
-                if trusted_leq(self.poset, target, restrict(eta)):
+                if trusted_leq(self.poset, target, word):
                     return True
         return False
 
@@ -365,11 +380,9 @@ class MorseEngine:
     ) -> list[MsiDecomposition]:
         """All critical chains of [u, w], PLO-sorted.
 
-        Only chains with strictly decreasing label sequences are examined;
-        no other chain can be critical, and more than max_chains of them is a
-        :class:`ResourceLimitError`.  The walker takes moves in label-key
-        order, so the chains already come out in PLO order.  A chain keeps
-        the MSI scans of the labels it shares with the chain before it.
+        Only the chains of the strictly decreasing walk are examined; no
+        other chain can be critical, and more than max_chains of them is a
+        :class:`ResourceLimitError`.
         """
         u = check_word(self.poset, u)
         w = check_word(self.poset, w)
@@ -378,21 +391,10 @@ class MorseEngine:
         if u == w:
             return []
         out: list[MsiDecomposition] = []
-        scans: list[list[int]] = [[]]  # scans[hi]: the scan through words[hi + 1]
-        labels: tuple[Label, ...] = ()
-        for n, chain in enumerate(self.chains(w, u, decreasing=True)):
-            if n == max_chains:
-                raise ResourceLimitError(
-                    f"interval has more than {max_chains} strictly decreasing chains"
-                )
-            shared = next(
-                (k for k, (a, b) in enumerate(zip(labels, chain.labels)) if a != b), 0
-            )
-            del scans[max(shared, 1) :]  # scans[hi] reads labels[: hi + 1]
-            for hi in range(len(scans), len(chain.words) - 1):
-                scans.append(self._carry_msi_scan(chain, scans[-1], hi))
-            labels = chain.labels
-            dec = self.decomposition_direct(chain, scans[-1])
+        for path, scan in self.walk(w, u, max_chains):
+            _, words, etas, labels = path
+            chain = LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
+            dec = self.decomposition_direct(chain, scan)
             if dec.is_critical:
                 out.append(dec)
         return out
@@ -408,42 +410,21 @@ class MorseEngine:
         return check_i64(total, "mobius_morse")
 
     def mobius_morse_below(
-        self,
-        w: Word,
-        words: Iterable[Word] | None = None,
-        max_chains: int = DEFAULT_MAX_CHAINS,
-        max_nodes: int = DEFAULT_MAX_NODES,
+        self, w: Word, words: Iterable[Word], max_chains: int = DEFAULT_MAX_CHAINS
     ) -> dict[Word, int]:
-        """mu(u, w) for every u <= w via the Morse sum, one traversal of w;
-        each prefix's MSI scan is its parent's, carried one step.
+        """mu(u, w) for every u <= w via the Morse sum over one walk of w.
 
-        ``words`` lists [empty, w], and a word no critical chain ends at gets
-        mu 0.  By default it is searched here, and more than max_nodes
-        elements is a :class:`ResourceLimitError`; a given list is trusted
-        (the verification sweep passes its diagram's nodes, already capped).
-        More than max_chains walked prefixes (strictly decreasing chains from
-        w) is a :class:`ResourceLimitError` too.
+        ``words`` lists [empty, w] (the verification sweep passes its
+        diagram's nodes), and a word no critical chain ends at gets mu 0.
+        More than max_chains walked prefixes is a :class:`ResourceLimitError`.
         """
         w = check_word(self.poset, w)
         table: dict[Word, int] = {}
-        scans: list[list[int]] = [[]]  # scans[k]: the current prefix with k open positions
-        for n, chain in enumerate(self.chains(w, None, decreasing=True)):
-            if n == max_chains:
-                raise ResourceLimitError(
-                    f"interval has more than {max_chains} strictly decreasing chains"
-                )
-            hi = len(chain.words) - 2
-            if hi:
-                del scans[hi:]
-                scans.append(self._carry_msi_scan(chain, scans[-1], hi))
-            sign = _scan_sign(tuple(scans[hi]))
+        for path, scan in self.walk(w, None, max_chains):
+            sign = _scan_sign(tuple(scan))
             if sign:
-                total = table.get(chain.bottom, 0) + sign
-                table[chain.bottom] = check_i64(total, "mobius_morse_below")
-        if words is None:
-            from .interval import interval_covers
-
-            words = interval_covers(self.poset, (), w, max_nodes)
+                bottom = path.bottom
+                table[bottom] = check_i64(table.get(bottom, 0) + sign, "mobius_morse_below")
         for u in words:
             table.setdefault(u, 0)
         table[w] = 1
@@ -463,13 +444,6 @@ class MorseEngine:
             eta = dec.chain.final_embedding
             out[eta] = check_i64(out.get(eta, 0) + dec.sign(), "embedding_mus")
         return out
-
-    def per_embedding_mu(self, eta: Embedding, w: Word) -> int:
-        """Morse contribution of the critical chains ending at the embedding eta."""
-        w = check_word(self.poset, w)
-        if not is_embedding(self.poset, eta, w):
-            raise DomainError("eta is not an embedding in w")
-        return self.embedding_mus(restrict(eta), w).get(eta, 0)
 
 
 @lru_cache(maxsize=4096)

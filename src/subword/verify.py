@@ -34,6 +34,7 @@ from .interval import IntervalDiagram, build_interval, interval_covers
 from .mobius import mobius_main
 from .morse import (
     IndexInterval,
+    Label,
     LabeledChain,
     MorseEngine,
     MsiDecomposition,
@@ -647,14 +648,27 @@ class ChainContext:
 def all_chains(
     engine: MorseEngine, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
 ) -> ChainContext:
-    """Every maximal chain of [u, w], PLO-sorted."""
+    """Every maximal chain of [u, w], PLO-sorted: a DFS over the cover moves,
+    which come sorted by label key, keeping each word still above u."""
     u = check_word(engine.poset, u)
     w = check_word(engine.poset, w)
     if not trusted_leq(engine.poset, u, w):
         raise DomainError("all_chains requires u <= w")
-    chains = list(itertools.islice(engine.chains(w, u, decreasing=False), max_chains + 1))
-    if len(chains) > max_chains:
-        raise ResourceLimitError(f"interval has more than {max_chains} maximal chains")
+    chains: list[LabeledChain] = []
+
+    def descend(
+        words: tuple[Word, ...], etas: tuple[Embedding, ...], labels: tuple[Label, ...]
+    ) -> None:
+        if words[-1] == u:
+            if len(chains) == max_chains:
+                raise ResourceLimitError(f"interval has more than {max_chains} maximal chains")
+            chains.append(LabeledChain(engine.poset, words, etas, labels))
+            return
+        for label, eta, word in engine.cover_moves(etas[-1]):
+            if trusted_leq(engine.poset, u, word):
+                descend(words + (word,), etas + (eta,), labels + (label,))
+
+    descend((w,), (w,), ())
     return ChainContext(engine, u, w, chains)
 
 

@@ -67,9 +67,7 @@ def test_criterion_2_per_embedding_contributions():
         (ZERO, one, one): 1,
     }
     assert dict(report_obj.per_embedding) == expected
-    engine = MorseEngine(LAM)
-    for eta, value in expected.items():
-        assert engine.per_embedding_mu(eta, w) == value
+    assert MorseEngine(LAM).embedding_mus(u, w) == expected
     report(2, "contributions {110:2, 101:2, 011:1}, Morse per-embedding agrees")
 
 
@@ -114,8 +112,9 @@ def test_criterion_5_oracle_equivalence_sweep():
         poset = builtin_poset(name)
         engine = MorseEngine(poset)
         for w in all_words(poset, 3):
-            oracle = build_interval(poset, (), w).mobius_to_top()
-            morse = engine.mobius_morse_below(w)
+            diagram = build_interval(poset, (), w)
+            oracle = diagram.mobius_to_top()
+            morse = engine.mobius_morse_below(w, diagram.nodes)
             for u, mu in oracle.items():
                 checks += 1
                 if not mu == mobius_main(poset, u, w).value == morse[u]:

@@ -19,7 +19,6 @@ from subword import (
     restrict,
 )
 from subword.morse import LabeledChain, MorseEngine, j_construction
-from subword.interval import interval_covers
 from subword.verify import (
     _minimal_intervals,
     all_chains,
@@ -35,6 +34,56 @@ BUILTINS = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
 
 def words(poset, *texts):
     return [parse_word(poset, t) for t in texts]
+
+
+def freeze(path):
+    """A chain of the walk's live view, copied out of its stacks."""
+    return LabeledChain(path.poset, tuple(path.words), tuple(path.embeddings), tuple(path.labels))
+
+
+def walked(eng, w, u=None):
+    """The chains of eng.walk(w, u), frozen."""
+    return [freeze(path) for path, _ in eng.walk(w, u)]
+
+
+def reference_chains(eng, w, u, decreasing):
+    """Reference walk: saturated descending chains from w in PLO order; with
+    decreasing, only those whose labels strictly decrease.
+
+    With u given, only full chains down to u are yielded; with u None every
+    proper descending prefix is yielded.  With u given and decreasing, a move
+    is kept only if its frozen tail still lets the walk reach u: the slots
+    after its position are u's tail and u's head lies below the slots up to it.
+    """
+    etas, words_, labels = [tuple(w)], [w], []
+
+    def can_reach(eta, p):
+        tail = restrict(eta[p:])
+        k = len(u) - len(tail)
+        return k >= 0 and u[k:] == tail and trusted_leq(eng.poset, u[:k], restrict(eta[:p]))
+
+    def descend():
+        if u is None and len(words_) > 1 or u is not None and words_[-1] == u:
+            yield LabeledChain(eng.poset, tuple(words_), tuple(etas), tuple(labels))
+            if u is not None:
+                return
+        last = eng.label_key(labels[-1]) if decreasing and labels else None
+        for label, eta, v in eng.cover_moves(etas[-1]):
+            if last is not None and eng.label_key(label) >= last:
+                break
+            if u is not None and not (
+                can_reach(eta, label[0]) if decreasing else trusted_leq(eng.poset, u, v)
+            ):
+                continue
+            etas.append(eta)
+            words_.append(v)
+            labels.append(label)
+            yield from descend()
+            etas.pop()
+            words_.pop()
+            labels.pop()
+
+    yield from descend()
 
 
 def L(poset, text):
@@ -107,14 +156,17 @@ def test_plo_zero_label_first(lam):
 
 
 def test_plo_total_on_interval():
-    # all_chains emits every interval's chains in strictly increasing PLO order
+    # all_chains emits every interval's chains, those of the reference walk,
+    # in strictly increasing PLO order
     posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(3)]
     checked = 0
     for poset in posets:
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
             for u in build_interval(poset, (), w).nodes:
-                keys = [eng.plo_key(c) for c in all_chains(eng, u, w).chains]
+                chains = all_chains(eng, u, w).chains
+                assert chains == list(reference_chains(eng, w, u, decreasing=False))
+                keys = [eng.plo_key(c) for c in chains]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 checked += 1
     assert checked == 4057
@@ -260,8 +312,8 @@ def lexmin_through(eng, w_eta, required):
             continue
         label, eta = next(
             (label, nxt)
-            for label, nxt in eng.cover_moves(eta)
-            if trusted_leq(eng.poset, target, restrict(nxt))
+            for label, nxt, word in eng.cover_moves(eta)
+            if trusted_leq(eng.poset, target, word)
         )
         labels.append(label)
     return tuple(labels)
@@ -282,7 +334,7 @@ def test_is_si_matches_full_walk():
     for poset in posets:
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
-            for chain in eng.chains(w, None, decreasing=True):
+            for chain in walked(eng, w):
                 lo, hi = chain.open_range()
                 for i in range(lo, hi + 1):
                     for j in range(i, hi + 1):
@@ -331,15 +383,15 @@ def clip_and_minimise(msis, open_lo, open_hi):
     return tuple(js), covered == set(range(open_lo, open_hi + 1))
 
 
-def per_prefix_morse_below(eng, w, prefix_msis):
-    """Reference mu(., w) table: the walk with the J-construction of the
-    clip-and-minimise loop on every prefix's MSIs, given in walk order."""
+def per_prefix_morse_below(chains, prefix_msis, w, nodes):
+    """Reference mu(., w) table: the J-construction of the clip-and-minimise
+    loop on the MSIs of every prefix of the walk from w, given in walk order."""
     table = {}
-    for chain, msis in zip(eng.chains(w, None, decreasing=True), prefix_msis):
+    for chain, msis in zip(chains, prefix_msis):
         js, critical = clip_and_minimise(msis, *chain.open_range())
         if critical:
             table[chain.bottom] = table.get(chain.bottom, 0) + (-1) ** (len(js) - 1)
-    for u in interval_covers(eng.poset, (), w, 10**6):
+    for u in nodes:
         table.setdefault(u, 0)
     table[w] = 1
     return table
@@ -348,18 +400,14 @@ def per_prefix_morse_below(eng, w, prefix_msis):
 def test_two_pointer_msis_match_all_pairs_scan(lam, fig3):
     eng = MorseEngine(lam)
     w5, w6 = parse_word(lam, "33333"), parse_word(lam, "333333")
-    chains = [(eng, c) for c in eng.chains(w5, None, decreasing=True)]
+    chains = [(eng, c) for c in walked(eng, w5)]
     for u_txt in ("", "1"):
         bottom = parse_word(lam, u_txt)
-        chains += [(eng, c) for c in eng.chains(w6, bottom, decreasing=True)]
+        chains += [(eng, c) for c in walked(eng, w6, bottom)]
     # here a least SI (i, f(i)) can contain the one starting at i + 1
     for poset, max_w in ((CHAIN3, 3), (fig3, 2)):
         eng = MorseEngine(poset)
-        chains += [
-            (eng, c)
-            for w in all_words(poset, max_w)
-            for c in eng.chains(w, None, decreasing=True)
-        ]
+        chains += [(eng, c) for w in all_words(poset, max_w) for c in walked(eng, w)]
     for eng, chain in chains:
         expected = all_pairs_msis(eng, chain)
         assert two_pointer_msis(eng, chain) == expected
@@ -375,12 +423,12 @@ def test_carried_scan_matches_per_prefix_references():
     for poset in posets:
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
-            reference = []
-            for chain in eng.chains(w, None, decreasing=True):
-                reference.append(two_pointer_msis(eng, chain))
-                assert eng.msis_direct(chain) == reference[-1]
-            table = per_prefix_morse_below(eng, w, reference)
-            assert list(eng.mobius_morse_below(w).items()) == list(table.items())
+            chains = walked(eng, w)
+            reference = [two_pointer_msis(eng, chain) for chain in chains]
+            assert [eng.msis_direct(chain) for chain in chains] == reference
+            nodes = build_interval(poset, (), w).nodes
+            table = per_prefix_morse_below(chains, reference, w, nodes)
+            assert list(eng.mobius_morse_below(w, nodes).items()) == list(table.items())
             prefixes += len(reference)
     assert prefixes == 70716
 
@@ -433,10 +481,9 @@ def unpruned_decreasing_chains(eng, w, u):
         if words[-1] == u:
             out.append(LabeledChain(eng.poset, tuple(words), tuple(etas), tuple(labels)))
             return
-        for label, eta in eng.cover_moves(etas[-1]):
+        for label, eta, v in eng.cover_moves(etas[-1]):
             if labels and eng.label_key(label) >= eng.label_key(labels[-1]):
                 break
-            v = restrict(eta)
             if trusted_leq(eng.poset, u, v):
                 descend(etas + [eta], words + [v], labels + [label])
 
@@ -451,20 +498,59 @@ def folded_critical_chains(eng, chains):
 
 
 def test_pruned_walk_and_carried_scan_match_references():
-    # the frozen-tail prune drops only dead ends, and the scans carried from
-    # chain to chain give the decompositions of the per-chain fold
+    # the reach test drops only dead ends, and the scans carried along the
+    # walk give the decompositions of the per-chain fold
     posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(20)]
     intervals = 0
     for poset in posets:
         eng = MorseEngine(poset)
         for w in all_words(poset, 2 if poset.n > 5 else 3):
-            for u in interval_covers(poset, (), w, 10**6):
+            for u in build_interval(poset, (), w).nodes:
                 chains = unpruned_decreasing_chains(eng, w, u)
-                assert list(eng.chains(w, u, decreasing=True)) == chains
+                assert walked(eng, w, u) == chains
+                assert list(reference_chains(eng, w, u, decreasing=True)) == chains
                 expected = folded_critical_chains(eng, chains) if u != w else []
                 assert eng.critical_chains(u, w) == expected
                 intervals += 1
     assert intervals == 21779
+
+
+def test_walk_matches_the_reference_chains():
+    # the one walk yields the reference walk's strictly decreasing prefixes in
+    # the same order, each with the MSI scan of the per-chain fold
+    posets = [(builtin_poset(n), 2 if n == "fig3" else 3) for n in BUILTINS]
+    posets += [(random_poset(s), 3) for s in range(30)]
+    prefixes = 0
+    for poset, max_w in posets:
+        eng = MorseEngine(poset)
+        for w in all_words(poset, max_w):
+            expected = list(reference_chains(eng, w, None, decreasing=True))
+            got = []
+            for path, scan in eng.walk(w):
+                chain = freeze(path)
+                assert eng.decomposition_direct(chain, scan) == eng.decomposition_direct(chain)
+                got.append(chain)
+            assert got == expected
+            prefixes += len(got)
+    assert prefixes == 42954
+
+
+def test_walk_to_u_expands_no_dead_end(fig3, monkeypatch):
+    # fig3 [2, 15 9^10]: no strictly decreasing chain reaches 2, yet the
+    # decreasing prefixes from w multiply by about 7 per letter; the exact
+    # reach test expands each embedding on the way once
+    real, calls = MorseEngine.cover_moves, []
+
+    def counted(self, eta):
+        calls.append(eta)
+        assert len(calls) <= 1000, "the walk to u expands dead ends"
+        return real(self, eta)
+
+    monkeypatch.setattr(MorseEngine, "cover_moves", counted)
+    eng = MorseEngine(fig3)
+    u, w = parse_word(fig3, "2"), parse_word(fig3, "15" + "9" * 10)
+    assert eng.critical_chains(u, w, max_chains=1) == []
+    assert len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("k", [6, 7, 8, 9])
@@ -532,21 +618,26 @@ def test_mobius_morse_values(lam, fig3):
 def test_mobius_morse_below_matches_pointwise(fig3):
     eng = MorseEngine(fig3)
     w = parse_word(fig3, "29")
-    table = eng.mobius_morse_below(w)
+    table = eng.mobius_morse_below(w, build_interval(fig3, (), w).nodes)
     for u, value in table.items():
         assert eng.mobius_morse(u, w) == value
         assert mobius_main(fig3, u, w).value == value
 
 
+def embedding_mu(eng, eta, w):
+    """Morse contribution of the critical chains of [restrict(eta), w] ending at eta."""
+    return eng.embedding_mus(restrict(eta), w).get(eta, 0)
+
+
 def test_per_embedding_mu(lam, fig3):
     eng3 = MorseEngine(fig3)
     two = fig3.id_of("2")
-    assert eng3.per_embedding_mu((two, ZERO), parse_word(fig3, "29")) == 1
+    assert embedding_mu(eng3, (two, ZERO), parse_word(fig3, "29")) == 1
     w = parse_word(fig3, "29")
-    assert eng3.per_embedding_mu(w, w) == 1
+    assert embedding_mu(eng3, w, w) == 1
     eng = MorseEngine(lam)
     one = lam.id_of("1")
-    assert eng.per_embedding_mu((one, one, ZERO), parse_word(lam, "333")) == 2
+    assert embedding_mu(eng, (one, one, ZERO), parse_word(lam, "333")) == 2
 
 
 def test_embeddings_share_one_critical_chain_walk(lam, monkeypatch):
@@ -568,17 +659,15 @@ def test_embeddings_share_one_critical_chain_walk(lam, monkeypatch):
     assert eng.embedding_mus(w, w) == {w: 1}
 
 
-def test_mobius_morse_below_enforces_its_caps(lam):
+def test_mobius_morse_below_enforces_its_chain_cap(lam):
     eng = MorseEngine(lam)
     w = parse_word(lam, "333")
-    table = eng.mobius_morse_below(w)
-    assert eng.mobius_morse_below(w, max_nodes=len(table)) == table
-    with pytest.raises(ResourceLimitError, match="5-node cap"):
-        eng.mobius_morse_below(w, max_nodes=5)
-    walked = sum(1 for _ in eng.chains(w, None, decreasing=True))
-    assert eng.mobius_morse_below(w, max_chains=walked) == table
-    with pytest.raises(ResourceLimitError, match=f"more than {walked - 1} strictly"):
-        eng.mobius_morse_below(w, max_chains=walked - 1)
+    nodes = build_interval(lam, (), w).nodes
+    table = eng.mobius_morse_below(w, nodes)
+    prefixes = len(walked(eng, w))
+    assert eng.mobius_morse_below(w, nodes, max_chains=prefixes) == table
+    with pytest.raises(ResourceLimitError, match=f"more than {prefixes - 1} strictly"):
+        eng.mobius_morse_below(w, nodes, max_chains=prefixes - 1)
 
 
 def test_per_embedding_mu_matches_contribution(lam, fig3):
@@ -592,7 +681,7 @@ def test_per_embedding_mu_matches_contribution(lam, fig3):
             u, w = parse_word(poset, u_txt), parse_word(poset, w_txt)
             total = 0
             for eta in embeddings(poset, u, w):
-                value = eng.per_embedding_mu(eta, w)
+                value = embedding_mu(eng, eta, w)
                 assert value == contribution(p0, eta, w)
                 total += value
             assert total == eng.mobius_morse(u, w)
@@ -719,9 +808,8 @@ def test_morse_agreement_small_sweep():
         eng = MorseEngine(poset)
         for length in range(3):
             for w in itertools.product(range(poset.n), repeat=length):
-                oracle = build_interval(poset, (), w).mobius_to_top()
-                morse = eng.mobius_morse_below(w)
-                assert morse == oracle
+                diagram = build_interval(poset, (), w)
+                assert eng.mobius_morse_below(w, diagram.nodes) == diagram.mobius_to_top()
 
 
 def test_labeling_independence():
@@ -732,7 +820,7 @@ def test_labeling_independence():
         for order in all_linear_extensions(poset):
             eng = MorseEngine(poset, NaturalLabeling(poset, order))
             w = tuple(range(poset.n))[:3]
-            table = eng.mobius_morse_below(w)
+            table = eng.mobius_morse_below(w, build_interval(poset, (), w).nodes)
             values.add(tuple(sorted(table.items())))
         assert len(values) == 1
 
