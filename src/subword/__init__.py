@@ -17,7 +17,7 @@ _EXPORTS = {
     ),
     "homotopy": ("HomotopyReport", "homotopy_type", "rank_word"),
     "interval": ("IntervalDiagram", "build_interval", "mobius_oracle"),
-    "mobius": ("MobiusReport", "contribution", "mobius_main"),
+    "mobius": ("MobiusReport", "contribution", "mobius_main", "mobius_main_below"),
     "morse": (
         "LabeledChain", "MorseEngine", "MsiDecomposition", "NaturalLabeling",
         "natural_labeling",
@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "verify": (
         "AugmentedPoset", "ChainContext", "all_linear_extensions", "embedding_subposet",
-        "mobius_embedding_subposet", "mobius_hat_chain_count", "mobius_main_below",
+        "mobius_embedding_subposet", "mobius_hat_chain_count",
     ),
     "words": (
         "Embedding", "Word", "embeddings", "format_embedding", "format_word",

@@ -2,9 +2,11 @@
 
 mu(u, w) in P* is a sum over the embeddings eta of u in w of products of
 Mobius values of P0 (:func:`contribution`).  The factors depend only on
-position, so :func:`mobius_main` is an O(|u|*|w|) DP over the positions of w.
-Its per-embedding terms (``--verbose``) enumerate the embeddings, at a cost
-that grows with their number, when read.
+position, so each word's column over the positions of w extends its parent
+prefix's column at O(|w|) cost (:func:`_columns`): :func:`mobius_main` reads
+the columns of the prefixes of u, and :func:`mobius_main_below` those of a
+list of words of [empty, w].  A report's per-embedding terms (``--verbose``)
+enumerate the embeddings on each read, at a cost that grows with their number.
 
 The other routes live apart and share no code with this one: the oracle
 recursion in ``interval``, the Morse sum in ``morse``, the antichain and
@@ -14,11 +16,9 @@ in ``homotopy``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError, check_i64
+from .errors import DomainError, InputError, check_i64
 from .poset import ZERO, FinitePoset
 from .words import (
     Embedding,
@@ -38,8 +38,13 @@ class MobiusReport(NamedTuple):
     w: Word
     value: int
     method: str  # formula | oracle | morse
-    per_embedding: Sequence[tuple[Embedding, int]] = ()
     comparable: bool = True
+
+    @property
+    def per_embedding(self) -> list[tuple[Embedding, int]]:
+        """The formula's (embedding, contribution) terms, enumerated on each read."""
+        poset, w = self.poset, self.w
+        return [(eta, _contribution(poset, eta, w)) for eta in embeddings(poset, self.u, w)]
 
     def to_json(self) -> str:
         import json
@@ -81,52 +86,66 @@ def _contribution(poset: FinitePoset, eta: Embedding, w: Word) -> int:
         factor = mu0(x, w[j])
         if x == ZERO and j > 0 and w[j - 1] == w[j]:
             factor += 1
-        product = check_i64(product * factor, "embedding contribution")
-    return product
+        product *= factor
+    return check_i64(product, "embedding contribution")
 
 
-class _EmbeddingTerms(Sequence):
-    """(embedding, contribution) pairs of checked u <= w, built on first read.
+def _columns(
+    poset: FinitePoset, w: Word, words: Iterable[Word]
+) -> Iterator[tuple[Word, list[int]]]:
+    """Each listed word u with its column over checked w: entry j is the
+    formula's mu(u, w[:j]) in exact ints.
 
-    Equal and hashed by (poset, u, w), so reports of one interval compare
-    equal without building their terms.
+    u's column is its parent prefix's column extended by u's last letter, so
+    each word must come after its parent prefix; one that does not, or ends
+    in a letter not of P, is an :class:`InputError`, so each letter of each
+    word is checked once.
     """
-
-    def __init__(self, poset: FinitePoset, u: Word, w: Word):
-        self._args = (poset, u, w)
-
-    @cached_property
-    def _terms(self) -> tuple[tuple[Embedding, int], ...]:
-        poset, u, w = self._args
-        return tuple((eta, _contribution(poset, eta, w)) for eta in embeddings(poset, u, w))
-
-    def __getitem__(self, i):
-        return self._terms[i]
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _EmbeddingTerms) and self._args == other._args
-
-    def __hash__(self) -> int:
-        return hash(self._args)
+    mu0, above = poset.mu0, poset.above
+    skips = [mu0(ZERO, b) + (j > 0 and w[j - 1] == b) for j, b in enumerate(w)]
+    empty = [1]
+    for skip in skips:
+        empty.append(empty[-1] * skip)
+    columns: dict[Word, list[int]] = {(): empty}
+    factors: dict[int, list[int]] = {}  # letter x: mu0(x, w[j]), 0 where x is not below
+    for u in words:
+        if u:
+            parent, x = columns.get(u[:-1]), u[-1]
+            if parent is None:
+                raise InputError(f"word {u!r} comes before its parent prefix")
+            factor = factors.get(x)
+            if factor is None:
+                if not 0 <= x < poset.n:  # the adjoined zero too
+                    raise InputError(f"word {u!r} ends in {x!r}, not an element of P")
+                factor = factors[x] = [mu0(x, b) if b in above[x] else 0 for b in w]
+            column = [0]
+            for j, skip in enumerate(skips):
+                column.append(column[j] * skip + parent[j] * factor[j])
+            columns[u] = column
+        yield u, columns[u]
 
 
 def mobius_main(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> MobiusReport:
-    """The formula route: row[k] sums the per-embedding products over prefixes
-    of w placing u[:k]; exact ints inside, only the value is i64-checked."""
+    """The formula route: the columns of the prefixes of u, read at u; only
+    that value is i64-checked, so a prefix of u may overflow where u does not."""
     u = check_word(poset, u)
     w = check_word(poset, w)
     if not trusted_leq(poset, u, w):
-        return MobiusReport(poset, u, w, 0, "formula", (), comparable=False)
-    mu0, above = poset.mu0, poset.above
-    row = [1] + [0] * len(u)
-    for j, b in enumerate(w):
-        skip = mu0(ZERO, b) + (j > 0 and w[j - 1] == b)
-        for k in range(min(j + 1, len(u)), 0, -1):
-            x = u[k - 1]
-            row[k] = row[k] * skip + (row[k - 1] * mu0(x, b) if b in above[x] else 0)
-        row[0] *= skip
-    value = check_i64(row[len(u)], "mobius_main")
-    return MobiusReport(poset, u, w, value, "formula", _EmbeddingTerms(poset, u, w))
+        return MobiusReport(poset, u, w, 0, "formula", comparable=False)
+    *_, (_, column) = _columns(poset, w, [u[:k] for k in range(len(u) + 1)])
+    return MobiusReport(poset, u, w, check_i64(column[-1], "mobius_main"), "formula")
+
+
+def mobius_main_below(
+    poset: FinitePoset, w: Sequence[int], words: Iterable[Word]
+) -> dict[Word, int]:
+    """The formula for many u <= w at once: {u: mu(u, w)} for each word u of
+    ``words``, the table the interval suites check the other routes against.
+
+    ``words`` lists words of [empty, w], each after its parent prefix
+    (shortest first, as an interval's node order does); each value is
+    i64-checked.
+    """
+    w = check_word(poset, w)
+    columns = _columns(poset, w, words)
+    return {u: check_i64(column[-1], "mobius_main_below") for u, column in columns}

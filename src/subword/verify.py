@@ -7,14 +7,14 @@ counterexample so callers can name the offending instance; the suites build
 its text only when the check fails.
 
 :func:`sweep` yields one :class:`Interval` per (poset, w): the one [empty, w]
-diagram, the one formula table (:func:`mobius_main_below`) where a suite
-reads it, and a Morse engine shared by the words of one length.  The interval
-suites each check the records they are given, so :func:`run_all` passes every
-record of a poset's sweep to each suite in turn, or none where w is past that
-suite's bound, and the record goes with its w.  The per-record results are
-merged suite by suite, in the suites' order.  The caps bound the builds and
-the Morse walks, so when both would trip, the first interval of the sweep to
-reach one names it.
+diagram, the one formula table (:func:`mobius.mobius_main_below`) where a
+suite reads it, and a Morse engine shared by the words of one length.  The
+interval suites each check the records they are given, so :func:`run_all`
+passes every record of a poset's sweep to each suite in turn, or none where w
+is past that suite's bound, and the record goes with its w.  The per-record
+results are merged suite by suite, in the suites' order.  The caps bound the
+builds and the Morse walks, so when both would trip, the first interval of the
+sweep to reach one names it.
 
 The references live here rather than beside the routes they check: the
 validating view of P0 (:class:`AugmentedPoset`), seeded random posets, the
@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .chebyshev import chebyshev_T, chebyshev_T_closed, verify_chebyshev
 from .errors import DomainError, InputError, ResourceLimitError, check_i64
-from .interval import IntervalDiagram, build_interval, interval_covers
-from .mobius import mobius_main
+from .interval import IntervalDiagram, build_interval
+from .mobius import mobius_main, mobius_main_below
 from .morse import (
     IndexInterval,
     Label,
@@ -408,52 +408,6 @@ def _merged(parts: list[SuiteResult]) -> SuiteResult:
 
 
 # -- references -----------------------------------------------------------
-
-
-def mobius_main_below(
-    poset: FinitePoset,
-    w: Sequence[int],
-    words: Iterable[Word] | None = None,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> dict[Word, int]:
-    """The formula route for every u <= w at once: {u: mu(u, w)}, the table
-    the interval suites check the other routes against.
-
-    The DP of :func:`mobius_main` reads u one letter at a time, so the column
-    of u over the positions of w is its parent prefix's column extended by
-    u's last letter, at O(|w|) per u.  ``words`` lists [empty, w] with each
-    word after its parent prefix (shortest first, as the interval's node
-    order does); by default it is searched here under ``max_nodes``.  A word
-    listed before its parent prefix, or ending in a letter not of P, is an
-    :class:`InputError`, so each letter of each word is checked once.
-    """
-    w = check_word(poset, w)
-    if words is None:
-        words = sorted(interval_covers(poset, (), w, max_nodes), key=len)
-    mu0, above = poset.mu0, poset.above
-    skips = [mu0(ZERO, b) + (j > 0 and w[j - 1] == b) for j, b in enumerate(w)]
-    empty = [1]
-    for skip in skips:
-        empty.append(empty[-1] * skip)
-    columns: dict[Word, list[int]] = {(): empty}
-    factors: dict[int, list[int]] = {}  # letter x: mu0(x, w[j]), 0 where x is not below
-    table: dict[Word, int] = {}
-    for u in words:
-        if u:
-            parent, x = columns.get(u[:-1]), u[-1]
-            if parent is None:
-                raise InputError(f"word {u!r} comes before its parent prefix")
-            factor = factors.get(x)
-            if factor is None:
-                if not 0 <= x < poset.n:  # the adjoined zero too
-                    raise InputError(f"word {u!r} ends in {x!r}, not an element of P")
-                factor = factors[x] = [mu0(x, b) if b in above[x] else 0 for b in w]
-            column = [0]
-            for j, skip in enumerate(skips):
-                column.append(column[j] * skip + parent[j] * factor[j])
-            columns[u] = column
-        table[u] = check_i64(columns[u][-1], "mobius_main_below")
-    return table
 
 
 class AugmentedPoset:

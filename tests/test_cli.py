@@ -311,6 +311,29 @@ def test_formula_overflow_exits_2(capsys):
     assert code == 2 and out == "" and "overflowed 64-bit range" in err
 
 
+def test_formula_prefix_may_overflow_where_u_does_not(capsys):
+    # mu(1^30, 3^60) overflows i64 on the way, mu(1^59, 3^60) = -119 does not
+    code, out, err = run(
+        capsys, "mobius", "--poset", "lambda", "--u", "1" * 59, "--w", "3" * 60
+    )
+    assert code == 0 and err == "" and out.endswith("= -119  (formula)\n")
+
+
+def test_verbose_terms_check_only_their_products(capsys):
+    # [1, 3^64 11]: 65 terms are 0 and one is -2^63, so every term fits in
+    # i64, although a partial product reaches +2^63 before a factor 0 or -1
+    lam = subword.builtin_poset("lambda")
+    w = subword.parse_word(lam, "3" * 64 + "11")
+    report = subword.mobius_main(lam, (0,), w)
+    terms = [c for _, c in report.per_embedding]
+    assert len(terms) == 66 and sum(terms) == report.value == -(2**63)
+    code, out, err = run(
+        capsys, "mobius", "--poset", "lambda", "--u", "1", "--w", "3" * 64 + "11", "--verbose"
+    )
+    assert code == 0 and err == ""
+    assert sum(line.startswith("  embedding ") for line in out.splitlines()) == 66
+
+
 @pytest.mark.parametrize(
     "flags",
     [

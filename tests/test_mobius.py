@@ -9,7 +9,6 @@ from subword import (
     FinitePoset,
     InputError,
     IntegerOverflowError,
-    ResourceLimitError,
     UnsupportedPosetError,
     ZERO,
     build_interval,
@@ -24,6 +23,7 @@ from subword import (
     is_leq_words,
     is_normal_forest,
     mobius_bjorner,
+    mobius_closed_form,
     mobius_embedding_subposet,
     mobius_forest,
     mobius_main,
@@ -36,7 +36,6 @@ from subword import (
 )
 from subword import interval as interval_module
 from subword import mobius as mobius_module
-from subword.interval import interval_covers
 from subword.morse import MorseEngine
 from subword.specializations import is_rooted_forest
 from subword.verify import all_chains, all_words, random_poset
@@ -329,34 +328,43 @@ def test_formula_oracle_random_sweep():
 
 def test_formula_table_matches_pointwise_formula():
     # every [u, w] with |w| <= 3 over the five built-ins (fig3 |w| <= 2) and
-    # random posets 0-29: the table has exactly the elements of [∅, w], and
-    # reading it from the diagram's node order or its own search agrees
+    # random posets 0-29: the table read from the diagram's node order has
+    # exactly its nodes, each with the row-DP reference's value
     posets = [builtin_poset(name) for name in ("lambda", "lambda:3", "chain:3", "antichain:3")]
     posets += [random_poset(seed) for seed in range(30)]
     checked = 0
     for poset, max_w in [(p, 3) for p in posets] + [(builtin_poset("fig3"), 2)]:
         for w in all_words(poset, max_w):
-            table = mobius_main_below(poset, w)
-            assert table.keys() == interval_covers(poset, (), w, 10**6).keys()
-            assert mobius_main_below(poset, w, build_interval(poset, (), w).nodes) == table
+            nodes = build_interval(poset, (), w).nodes
+            table = mobius_main_below(poset, w, nodes)
+            assert list(table) == nodes
             for u, value in table.items():
-                assert mobius_main(poset, u, w).value == value, (u, w)
+                assert _row_dp(poset, u, w) == value, (u, w)
             checked += len(table)
     assert checked == 29729
 
 
 def test_formula_table_caps_and_checks(lam):
     w = parse_word(lam, "33333")
-    assert mobius_main_below(lam, w)[parse_word(lam, "1")] == mobius_main(lam, (0,), w).value
-    with pytest.raises(ResourceLimitError):
-        mobius_main_below(lam, w, max_nodes=5)
+    table = mobius_main_below(lam, w, [(), (0,)])
+    assert table[(0,)] == mobius_main(lam, (0,), w).value
     with pytest.raises(InputError):
-        mobius_main_below(lam, (7,))
+        mobius_main_below(lam, (7,), [()])
     # exact ints inside, each value i64-checked: [∅, 3^60] holds mu(1^30, 3^60)
     big = (2,) * 60
     words = [(0,) * k for k in range(31)]
     with pytest.raises(IntegerOverflowError):
         mobius_main_below(lam, big, words)
+
+
+def test_formula_checks_only_the_value_read(lam):
+    # mu(1^30, 3^60) overflows i64 but mu(1^59, 3^60) does not: mobius_main
+    # passes through the prefix columns and checks only u's value, while the
+    # table checks every word it lists
+    big = (2,) * 60
+    assert mobius_main(lam, (0,) * 59, big).value == -119 == mobius_closed_form(59, 60)
+    with pytest.raises(IntegerOverflowError):
+        mobius_main_below(lam, big, [(0,) * k for k in range(60)])
 
 
 @pytest.mark.parametrize(
@@ -377,6 +385,21 @@ def _enumerated(poset, u, w):
     """The formula as a sum over enumerated embeddings: the reference for the DP."""
     p0 = AugmentedPoset(poset)
     return sum(contribution(p0, eta, w) for eta in embeddings(poset, u, w))
+
+
+def _row_dp(poset, u, w):
+    """The formula as a row DP over the positions of w, exact ints: row[k]
+    sums the products over the prefixes of w placing u[:k].  The reference
+    for the column DP that :func:`mobius_main` reads."""
+    mu0, above = poset.mu0, poset.above
+    row = [1] + [0] * len(u)
+    for j, b in enumerate(w):
+        skip = mu0(ZERO, b) + (j > 0 and w[j - 1] == b)
+        for k in range(min(j + 1, len(u)), 0, -1):
+            x = u[k - 1]
+            row[k] = row[k] * skip + (row[k - 1] * mu0(x, b) if b in above[x] else 0)
+        row[0] *= skip
+    return row[len(u)]
 
 
 def _words(n, max_len):
@@ -419,3 +442,20 @@ def test_formula_terms_are_lazy(lam, monkeypatch):
     assert report.value == tomie_T(2, 27).coeff(9) == -18670080
     with pytest.raises(AssertionError, match="embeddings enumerated"):
         list(report.per_embedding)
+
+
+def test_formula_matches_row_dp_reference():
+    # seeded pairs with |w| <= 16 over the five built-ins and random posets
+    # 0-49, u below w half the time
+    rng = random.Random(19)
+    checked = 0
+    for poset in _dp_posets():
+        for _ in range(20):
+            w = tuple(rng.randrange(poset.n) for _ in range(rng.randint(0, 16)))
+            lowered = (rng.choice(poset.interval0(ZERO, b)) for b in w)
+            u = tuple(x for x in lowered if x != ZERO)
+            if rng.random() < 0.5:
+                u = tuple(rng.randrange(poset.n) for _ in range(rng.randint(0, len(w))))
+            assert mobius_main(poset, u, w).value == _row_dp(poset, u, w), (u, w)
+            checked += is_leq_words(poset, u, w)
+    assert checked > 500

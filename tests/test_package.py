@@ -96,3 +96,23 @@ def test_traced_replay_reaches_patched_names(tmp_path):
                  "mobius.mobius_main.calls", "words.build_interval.calls",
                  "chebyshev.verify_chebyshev.calls", "verify.oracle_equivalence.checks"):
         assert metrics[name] > 0, name
+
+
+def test_readme_library_example_runs():
+    # README's `## Library` block runs as written, and each expression with a
+    # trailing comment evaluates to the literal in that comment
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        tail = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if isinstance(stmt, ast.Expr) and tail.startswith("#"):
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert got == ast.literal_eval(tail[1:].strip()), ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked == 4
