@@ -18,22 +18,19 @@ _EXPORTS = {
     "homotopy": ("HomotopyReport", "homotopy_type", "rank_word"),
     "interval": ("IntervalDiagram", "build_interval", "mobius_oracle"),
     "mobius": ("MobiusReport", "contribution", "mobius_main", "mobius_main_below"),
-    "morse": (
-        "LabeledChain", "MorseEngine", "MsiDecomposition", "NaturalLabeling",
-        "natural_labeling",
-    ),
+    "morse": ("LabeledChain", "MorseEngine", "MsiDecomposition"),
     "poset": ("ZERO", "FinitePoset", "builtin_poset", "load_poset"),
     "specializations": (
         "defect", "is_normal_forest", "mobius_bjorner", "mobius_forest",
         "normal_embeddings_antichain",
     ),
     "verify": (
-        "AugmentedPoset", "ChainContext", "all_linear_extensions", "embedding_subposet",
-        "mobius_embedding_subposet", "mobius_hat_chain_count",
+        "AugmentedPoset", "ChainContext", "embedding_subposet", "mobius_embedding_subposet",
+        "mobius_hat_chain_count",
     ),
     "words": (
         "Embedding", "Word", "embeddings", "format_embedding", "format_word",
-        "is_leq_words", "parse_word", "restrict", "rightmost_embedding", "runs",
+        "is_leq_words", "parse_word", "restrict", "runs",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

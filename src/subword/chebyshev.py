@@ -41,10 +41,6 @@ class IntPolynomial(_Coefficients):
             end -= 1
         return super().__new__(cls, tuple(coefficients[:end]))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def coeff(self, m: int) -> int:
         if 0 <= m < len(self.coefficients):
             return self.coefficients[m]

@@ -50,14 +50,19 @@ class IntervalDiagram:
         self.index = index = {v: i for i, v in enumerate(nodes)}
         self._covers_down: list[list[int]] = []
         self._covers_up: list[list[int]] = [[] for _ in nodes]
-        ranks: list[int] = []
         for i, v in enumerate(nodes):
             lower = [index[z] for z in covers_down[v]]
             self._covers_down.append(lower)
             for k in lower:
                 self._covers_up[k].append(i)
+
+    @property
+    def ranks(self) -> list[int]:
+        """The length of a longest chain from the bottom to each node."""
+        ranks: list[int] = []
+        for lower in self._covers_down:
             ranks.append(max((ranks[k] + 1 for k in lower), default=0))
-        self.ranks = ranks
+        return ranks
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

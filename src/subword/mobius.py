@@ -25,8 +25,6 @@ from .words import (
     Word,
     check_word,
     embeddings,
-    format_embedding,
-    format_word,
     is_embedding,
     trusted_leq,
 )
@@ -37,7 +35,6 @@ class MobiusReport(NamedTuple):
     u: Word
     w: Word
     value: int
-    method: str  # formula | oracle | morse
     comparable: bool = True
 
     @property
@@ -45,23 +42,6 @@ class MobiusReport(NamedTuple):
         """The formula's (embedding, contribution) terms, enumerated on each read."""
         poset, w = self.poset, self.w
         return [(eta, _contribution(poset, eta, w)) for eta in embeddings(poset, self.u, w)]
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "u": format_word(self.poset, self.u),
-                "w": format_word(self.poset, self.w),
-                "value": self.value,
-                "method": self.method,
-                "comparable": self.comparable,
-                "per_embedding": [
-                    {"embedding": format_embedding(self.poset, eta), "contribution": c}
-                    for eta, c in self.per_embedding
-                ],
-            }
-        )
 
 
 def contribution(p0, eta: Embedding, w: Word) -> int:
@@ -131,9 +111,9 @@ def mobius_main(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> Mobiu
     u = check_word(poset, u)
     w = check_word(poset, w)
     if not trusted_leq(poset, u, w):
-        return MobiusReport(poset, u, w, 0, "formula", comparable=False)
+        return MobiusReport(poset, u, w, 0, comparable=False)
     *_, (_, column) = _columns(poset, w, [u[:k] for k in range(len(u) + 1)])
-    return MobiusReport(poset, u, w, check_i64(column[-1], "mobius_main"), "formula")
+    return MobiusReport(poset, u, w, check_i64(column[-1], "mobius_main"))
 
 
 def mobius_main_below(

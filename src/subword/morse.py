@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError, InputError, ResourceLimitError, check_i64
+from .errors import DomainError, ResourceLimitError, check_i64
 from .poset import ZERO, FinitePoset
 from .words import (
     DEFAULT_MAX_CHAINS,
@@ -47,38 +47,6 @@ from .words import (
 Label = tuple[int, int]  # (1-based position in w, letter id or ZERO)
 Move = tuple[Label, Embedding, Word]  # a cover move: its label, embedding and word
 IndexInterval = tuple[int, int]  # inclusive indices into a chain's word list
-
-
-class NaturalLabeling:
-    """An order-preserving injection of P into 1..n, with label(ZERO)=0.
-
-    By default it is the poset's own ``labels``; an explicit order is checked.
-    """
-
-    def __init__(self, poset: FinitePoset, order: Sequence[int] | None = None):
-        self.poset = poset
-        self.labels = poset.labels  # label of each id, read unchecked by inner loops
-        if order is None:
-            return
-        order = list(order)
-        if sorted(order) != list(range(poset.n)):
-            raise InputError("labeling order must be a permutation of element ids")
-        labels = [0] * poset.n
-        for pos, x in enumerate(order):
-            labels[x] = pos + 1
-        for a, b in poset.covers:
-            if labels[a] >= labels[b]:
-                raise InputError("labeling order is not a linear extension")
-        self.labels = tuple(labels)
-
-    def __call__(self, x: int) -> int:
-        if x == ZERO:
-            return 0
-        return self.labels[self.poset.check_element(x)]
-
-
-def natural_labeling(poset: FinitePoset) -> NaturalLabeling:
-    return NaturalLabeling(poset)
 
 
 class LabeledChain(NamedTuple):
@@ -159,11 +127,10 @@ def decompose(chain: LabeledChain, msis: Sequence[IndexInterval]) -> MsiDecompos
 class MorseEngine:
     """Chain labeling, PLO and critical-chain machinery for one ground poset."""
 
-    def __init__(self, poset: FinitePoset, labeling: NaturalLabeling | None = None):
+    def __init__(self, poset: FinitePoset):
         self.poset = poset
-        self.labeling = labeling if labeling is not None else natural_labeling(poset)
         # label of each id, with label(ZERO) = 0 last so that index ZERO = -1 reads it
-        self._label = self.labeling.labels + (0,)
+        self._label = poset.labels + (0,)
         self._move_cache: dict[Embedding, tuple[Move, ...]] = {}
 
     # -- labels and the PLO ---------------------------------------------------
@@ -171,15 +138,6 @@ class MorseEngine:
     def label_key(self, label: Label) -> tuple[int, int]:
         j, x = label
         return (j, self._label[x])
-
-    def plo_key(self, chain: LabeledChain) -> tuple[tuple[int, int], ...]:
-        return tuple(self.label_key(l) for l in chain.labels)
-
-    def plo_compare(self, c1: LabeledChain, c2: LabeledChain) -> int:
-        if (c1.top, c1.bottom) != (c2.top, c2.bottom):
-            raise DomainError("plo_compare requires chains of the same interval")
-        k1, k2 = self.plo_key(c1), self.plo_key(c2)
-        return -1 if k1 < k2 else (1 if k1 > k2 else 0)
 
     # -- cover moves ----------------------------------------------------------
 
@@ -221,21 +179,6 @@ class MorseEngine:
                     f"{format_word(self.poset, restrict(etas[-1]))}"
                 )
         return LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
-
-    def chain_specified_by(self, w: Word, labels: Sequence[Label]) -> LabeledChain:
-        """Apply labels as embedding moves from w, then re-derive canonical labels."""
-        w = check_word(self.poset, w)
-        eta = list(w)
-        words = [w]
-        for j, x in labels:
-            if not 1 <= j <= len(w):
-                raise DomainError(f"label position {j} outside 1..{len(w)}")
-            cur = eta[j - 1]
-            if cur == ZERO or x not in (self.poset.covers_below[cur] or (ZERO,)):
-                raise DomainError(f"label <{j},{x}> is not applicable at its step")
-            eta[j - 1] = x
-            words.append(restrict(tuple(eta)))
-        return self.label_chain(words)
 
     # -- the strictly decreasing walk -----------------------------------------
 

@@ -197,10 +197,10 @@ def run_specializations(intervals: Iterable[Interval]) -> SuiteResult:
     return result
 
 
-def run_chebyshev(max_j: int = 5, s_values: tuple[int, ...] = (1, 2, 3)) -> SuiteResult:
-    """Coefficient identities for the generalized Chebyshev family."""
+def run_chebyshev(max_j: int = 5) -> SuiteResult:
+    """Coefficient identities for the generalized Chebyshev family, s = 1, 2, 3."""
     result = SuiteResult("chebyshev")
-    for s in s_values:
+    for s in (1, 2, 3):
         for j in range(max_j + 1):
             for i in range(j + 1):
                 check = verify_chebyshev(i, j, s)
@@ -485,22 +485,6 @@ def random_poset(seed: int, max_elements: int = 5) -> FinitePoset:
         if not any(c != b and b in reach[c] for c in range(a + 1, n) if (a, c) in edges)
     ]
     return FinitePoset([str(i + 1) for i in range(n)], covers)
-
-
-def all_linear_extensions(poset: FinitePoset) -> Iterator[list[int]]:
-    """All linear extensions; intended for small posets in property tests."""
-
-    def extend(acc: list[int], remaining: set[int]) -> Iterator[list[int]]:
-        if not remaining:
-            yield list(acc)
-            return
-        for x in sorted(remaining):
-            if all(a in acc for a in poset.covers_below[x]):
-                acc.append(x)
-                yield from extend(acc, remaining - {x})
-                acc.pop()
-
-    yield from extend([], set(range(poset.n)))
 
 
 def mobius_hat_chain_count(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import DomainError, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .poset import ZERO, FinitePoset
 
 Word = tuple[int, ...]
@@ -129,22 +129,6 @@ def embeddings(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> list[E
 
     place(0, 0)
     return out
-
-
-def rightmost_embedding(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> Embedding:
-    """Greedy right-to-left matching; every letter sits as far right as possible."""
-    u = check_word(poset, u)
-    w = check_word(poset, w)
-    above = poset.above
-    eta = [ZERO] * len(w)
-    j = len(u) - 1
-    for i in range(len(w) - 1, -1, -1):
-        if j >= 0 and w[i] in above[u[j]]:
-            eta[i] = u[j]
-            j -= 1
-    if j >= 0:
-        raise DomainError("no embedding exists: u is not <= w")
-    return tuple(eta)
 
 
 def runs(w: Sequence[int]) -> list[tuple[int, int, int]]:

@@ -35,7 +35,6 @@ def test_binom_matches_math_comb(n, k):
 def test_polynomial_trimming():
     p = IntPolynomial((1, 2, 0, 0))
     assert p.coefficients == (1, 2)
-    assert p.degree == 1
     assert p.coeff(0) == 1 and p.coeff(5) == 0
     assert p == IntPolynomial((1, 2)) and hash(p) == hash(IntPolynomial((1, 2)))
     assert IntPolynomial((0, 0)).coefficients == () and p != IntPolynomial((1, 2, 3))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from subword import build_interval, builtin_poset, is_leq_words, natural_labeling, parse_word
+from subword import build_interval, builtin_poset, is_leq_words, parse_word
 from subword.errors import ResourceLimitError
 from subword.verify import all_words, random_poset
 
@@ -24,9 +24,9 @@ class PairwiseReference:
     """
 
     def __init__(self, poset, w):
-        label = natural_labeling(poset)
+        label = poset.labels
         self.nodes = sorted(
-            words_below(poset, w), key=lambda v: (len(v), tuple(label(x) for x in v))
+            words_below(poset, w), key=lambda v: (len(v), tuple(label[x] for x in v))
         )
         n = len(self.nodes)
         self.above = [0] * n

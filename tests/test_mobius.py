@@ -95,19 +95,6 @@ def test_mobius_reports_of_one_interval_are_equal_and_hash_alike(lam):
     assert mobius_main(lam, (0,), (2,)) != mobius_main(lam, (1,), (2,))
 
 
-def test_mobius_report_json(lam):
-    import json
-
-    report = mobius_main(lam, parse_word(lam, "11"), parse_word(lam, "333"))
-    data = json.loads(report.to_json())
-    assert data["value"] == 5 and data["method"] == "formula"
-    assert {e["embedding"]: e["contribution"] for e in data["per_embedding"]} == {
-        "110": 2,
-        "101": 2,
-        "011": 1,
-    }
-
-
 def test_mobius_oracle_examples(lam):
     assert mobius_oracle(lam, parse_word(lam, "11"), parse_word(lam, "333")) == 5
     assert mobius_oracle(lam, parse_word(lam, "1"), parse_word(lam, "33")) == -3

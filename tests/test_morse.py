@@ -5,7 +5,7 @@ import pytest
 from subword import (
     AugmentedPoset,
     DomainError,
-    NaturalLabeling,
+    FinitePoset,
     ResourceLimitError,
     ZERO,
     builtin_poset,
@@ -13,8 +13,6 @@ from subword import (
     contribution,
     embeddings,
     mobius_main,
-    mobius_oracle,
-    natural_labeling,
     parse_word,
     restrict,
 )
@@ -22,9 +20,12 @@ from subword.morse import LabeledChain, MorseEngine, j_construction
 from subword.verify import (
     _minimal_intervals,
     all_chains,
-    all_linear_extensions,
     all_words,
     random_poset,
+    run_lemmas,
+    run_morse_agreement,
+    run_oracle_equivalence,
+    sweep,
 )
 from subword.words import trusted_leq
 
@@ -136,23 +137,19 @@ def test_label_chain_rejects_non_cover(lam):
 
 
 def test_plo_compare(lam):
+    # the PLO orders the chains of an interval by their label-key sequences
     eng = MorseEngine(lam)
     c = eng.label_chain(words(lam, "333", "313", "33", "13", "11"))
     cprime = eng.label_chain(words(lam, "333", "133", "113", "111", "11"))
     d = eng.label_chain(words(lam, "333", "332", "33", "31", "11"))
-    assert eng.plo_compare(cprime, c) == -1
-    assert eng.plo_compare(c, d) == -1
-    assert eng.plo_compare(cprime, d) == -1
-    assert eng.plo_compare(d, d) == 0
-    other = eng.label_chain(words(lam, "22", "2"))
-    with pytest.raises(DomainError):
-        eng.plo_compare(c, other)
+    keys = [[eng.label_key(l) for l in chain.labels] for chain in (cprime, c, d)]
+    assert keys[0] < keys[1] < keys[2]
 
 
 def test_plo_zero_label_first(lam):
     # <1,0> sorts before <1,1>: l(0)=0
     eng = MorseEngine(lam)
-    assert eng.label_key((1, ZERO)) < eng.label_key((1, 0))
+    assert eng.label_key((1, ZERO)) == (1, 0) < eng.label_key((1, 0))
 
 
 def test_plo_total_on_interval():
@@ -166,60 +163,10 @@ def test_plo_total_on_interval():
             for u in build_interval(poset, (), w).nodes:
                 chains = all_chains(eng, u, w).chains
                 assert chains == list(reference_chains(eng, w, u, decreasing=False))
-                keys = [eng.plo_key(c) for c in chains]
+                keys = [tuple(map(eng.label_key, c.labels)) for c in chains]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 checked += 1
     assert checked == 4057
-
-
-# -- chain specification -------------------------------------------------------
-
-
-def test_chain_specified_by_example(lam):
-    eng = MorseEngine(lam)
-    spec = eng.chain_specified_by(
-        parse_word(lam, "333"), L(lam, "<1,1> <2,1> <3,1> <2,0>")
-    )
-    assert spec.words == tuple(words(lam, "333", "133", "113", "111", "11"))
-    assert spec.labels == L(lam, "<1,1> <2,1> <3,1> <1,0>")
-
-
-def test_chain_specified_by_identity(lam):
-    eng = MorseEngine(lam)
-    chain = eng.label_chain(words(lam, "333", "313", "33", "13", "11"))
-    again = eng.chain_specified_by(chain.top, chain.labels)
-    assert again == chain
-
-
-def test_chain_specified_by_consistent_permutations(lam):
-    # every consistent permutation specifies a chain ending at the same word,
-    # with canonical labels lex <= the permuted input
-    eng = MorseEngine(lam)
-    ctx = all_chains(eng, parse_word(lam, "11"), parse_word(lam, "333"))
-    for chain in ctx.chains:
-        for perm in itertools.permutations(chain.labels):
-            per_pos = {}
-            for lab in perm:
-                per_pos.setdefault(lab[0], []).append(lab)
-            consistent = all(
-                per_pos[j] == [l for l in chain.labels if l[0] == j]
-                for j in per_pos
-            )
-            if not consistent:
-                continue
-            spec = eng.chain_specified_by(chain.top, perm)
-            assert spec.bottom == chain.bottom
-            key = tuple(eng.label_key(l) for l in spec.labels)
-            perm_key = tuple(eng.label_key(l) for l in perm)
-            assert key <= perm_key
-
-
-def test_chain_specified_by_bad_label(lam):
-    eng = MorseEngine(lam)
-    with pytest.raises(DomainError):
-        eng.chain_specified_by(parse_word(lam, "33"), L(lam, "<5,1>"))
-    with pytest.raises(DomainError):
-        eng.chain_specified_by(parse_word(lam, "33"), L(lam, "<1,0>"))
 
 
 # -- skipped intervals and MSIs ------------------------------------------------
@@ -253,7 +200,7 @@ def test_descent_example(lam):
     assert chain.labels == L(lam, "<2,0> <1,2>")
     assert ctx.msis(chain) == [(1, 1)]
     earlier = eng.label_chain(words(lam, "322", "222", "22"))
-    assert eng.plo_compare(earlier, chain) == -1
+    assert list(map(eng.label_key, earlier.labels)) < list(map(eng.label_key, chain.labels))
 
 
 def test_descents_are_singleton_msis(lam):
@@ -600,7 +547,7 @@ def test_critical_chain_labels_strictly_decrease(lam, fig3):
                 keys = [eng.label_key(l) for l in dec.chain.labels]
                 assert keys == sorted(keys, reverse=True)
                 assert len(set(keys)) == len(keys)
-            plo = [eng.plo_key(dec.chain) for dec in decs]
+            plo = [tuple(map(eng.label_key, dec.chain.labels)) for dec in decs]
             assert all(a < b for a, b in zip(plo, plo[1:]))
 
 
@@ -767,10 +714,10 @@ def p0_maximal_chains(poset, a, b):
 
 def p0_skipped_intervals(poset, chain0):
     """Brute-force SIs of a maximal chain of a P0 interval under its PLO."""
-    label = natural_labeling(poset)
+    label = poset.labels + (0,)  # label(ZERO) = 0 at index ZERO = -1
     keyed = sorted(
         p0_maximal_chains(poset, chain0[-1], chain0[0]),
-        key=lambda c: tuple(label(x) for x in c[1:]),
+        key=lambda c: tuple(label[x] for x in c[1:]),
     )
     earlier = [frozenset(c) for c in keyed[: keyed.index(chain0)]]
     hi = len(chain0) - 2
@@ -812,17 +759,19 @@ def test_morse_agreement_small_sweep():
                 assert eng.mobius_morse_below(w, diagram.nodes) == diagram.mobius_to_top()
 
 
-def test_labeling_independence():
-    # the Morse sum is the same under every natural labeling
-    for seed in (3, 7, 11):
-        poset = random_poset(seed, max_elements=4)
-        values = set()
-        for order in all_linear_extensions(poset):
-            eng = MorseEngine(poset, NaturalLabeling(poset, order))
-            w = tuple(range(poset.n))[:3]
-            table = eng.mobius_morse_below(w, build_interval(poset, (), w).nodes)
-            values.add(tuple(sorted(table.items())))
-        assert len(values) == 1
+def test_labels_that_differ_from_ids():
+    # every built-in and seeded random poset labels its ids in order (label
+    # = id + 1); here covers go from higher ids to lower ones, so the engine's
+    # label keys, the PLO and the diagrams' node order read other labels
+    poset = FinitePoset(["c", "b", "a", "d"], [(2, 0), (2, 1), (1, 3)])
+    assert poset.labels == (2, 3, 1, 4)
+    named = [("relabeled", poset)]
+    for result, checks in [
+        (run_oracle_equivalence(sweep(named, 3)), 1321),
+        (run_morse_agreement(sweep(named, 3)), 1321),
+        (run_lemmas(sweep(named, 2)), 816),
+    ]:
+        assert result.passed and result.checks == checks, result.failures[:1]
 
 
 def test_critical_chains_requires_comparable(lam):

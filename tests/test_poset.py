@@ -8,12 +8,9 @@ from subword import (
     AugmentedPoset,
     FinitePoset,
     InputError,
-    NaturalLabeling,
-    all_linear_extensions,
     builtin_poset,
     load_poset,
     mobius_hat_chain_count,
-    natural_labeling,
 )
 from subword.specializations import is_rooted_forest
 from subword.verify import random_poset
@@ -92,9 +89,8 @@ def shuffled(poset, seed):
 def test_default_labeling_takes_smallest_id_first():
     base = ground_posets()
     for poset in base + [shuffled(p, seed) for p in base for seed in range(3)]:
-        expect = NaturalLabeling(poset, min_id_linear_extension(poset))
-        got = natural_labeling(poset)
-        assert [got(x) for x in range(poset.n)] == [expect(x) for x in range(poset.n)]
+        order = min_id_linear_extension(poset)
+        assert poset.labels == tuple(order.index(x) + 1 for x in range(poset.n))
 
 
 def test_leq_lambda(lam):
@@ -219,26 +215,18 @@ def test_augmented_structure(lam):
 
 
 def test_natural_labeling(lam, fig3):
-    lab = natural_labeling(lam)
-    assert [lab(x) for x in range(3)] == [1, 2, 3]
-    assert lab(ZERO) == 0
+    assert lam.labels == (1, 2, 3)
     for poset in (lam, fig3):
-        ell = natural_labeling(poset)
+        ell = poset.labels
+        assert sorted(ell) == list(range(1, poset.n + 1))
         for a in range(poset.n):
             for b in range(poset.n):
                 if a != b and poset.leq(a, b):
-                    assert ell(a) < ell(b)
-
-
-def test_natural_labeling_validation(lam):
-    with pytest.raises(InputError):
-        NaturalLabeling(lam, [2, 1, 0])  # top labeled before its lower covers
-    with pytest.raises(InputError):
-        NaturalLabeling(lam, [0, 0, 1])
+                    assert ell[a] < ell[b]
 
 
 def test_labels_and_ranks_come_from_construction(monkeypatch):
-    # one linear extension per poset: builds, labelings and engines read it
+    # one linear extension per poset: builds and engines read it
     from subword import MorseEngine, build_interval, parse_word
 
     poset = builtin_poset("fig3")
@@ -253,17 +241,8 @@ def test_labels_and_ranks_come_from_construction(monkeypatch):
         for w in ("9", "59", "99"):
             build_interval(poset, (), parse_word(poset, w))
         MorseEngine(poset)
-        NaturalLabeling(poset)
         assert max(poset.ranks) == 2
     assert calls == []
-    assert NaturalLabeling(poset).labels == poset.labels
-
-
-def test_all_linear_extensions(lam):
-    exts = list(all_linear_extensions(lam))
-    assert exts == [[0, 1, 2], [1, 0, 2]]
-    chain = builtin_poset("chain:3")
-    assert list(all_linear_extensions(chain)) == [[0, 1, 2]]
 
 
 def test_ranks(lam):

@@ -20,7 +20,6 @@ from subword import (
     is_leq_words,
     parse_word,
     restrict,
-    rightmost_embedding,
     runs,
 )
 from subword.morse import MorseEngine
@@ -102,26 +101,24 @@ def test_embedding_count_binomial(lam):
             assert count == math.comb(j, i)
 
 
+def rightmost(poset, u_txt, w_txt):
+    """The last embedding in the lexicographic order of supports."""
+    return embeddings(poset, parse_word(poset, u_txt), parse_word(poset, w_txt))[-1]
+
+
 def test_rightmost_embedding(lam):
-    rho = rightmost_embedding(lam, parse_word(lam, "1132"), parse_word(lam, "2132333"))
-    assert format_embedding(lam, rho) == "0010132"
-    w = parse_word(lam, "123")
-    assert rightmost_embedding(lam, w, w) == w
-    assert format_embedding(
-        lam, rightmost_embedding(lam, parse_word(lam, "11"), parse_word(lam, "333"))
-    ) == "011"
-    with pytest.raises(DomainError):
-        rightmost_embedding(lam, parse_word(lam, "1"), parse_word(lam, "2"))
+    # the last embedding sits every letter as far right as it can go
+    assert format_embedding(lam, rightmost(lam, "1132", "2132333")) == "0010132"
+    assert rightmost(lam, "123", "123") == parse_word(lam, "123")
+    assert format_embedding(lam, rightmost(lam, "11", "333")) == "011"
+    assert embeddings(lam, parse_word(lam, "1"), parse_word(lam, "2")) == []
 
 
 def test_rightmost_is_positionwise_maximal(lam):
     for u_txt, w_txt in [("11", "333"), ("1", "131"), ("13", "3133")]:
-        u, w = parse_word(lam, u_txt), parse_word(lam, w_txt)
-        rho = rightmost_embedding(lam, u, w)
-        all_eta = embeddings(lam, u, w)
-        assert rho in all_eta
+        rho = rightmost(lam, u_txt, w_txt)
         rho_support = [j for j, x in enumerate(rho) if x != ZERO]
-        for eta in all_eta:
+        for eta in embeddings(lam, parse_word(lam, u_txt), parse_word(lam, w_txt)):
             support = [j for j, x in enumerate(eta) if x != ZERO]
             assert all(s <= r for s, r in zip(support, rho_support))
 
