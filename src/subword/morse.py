@@ -13,10 +13,11 @@ j + 2 words: I is skipped iff the PLO-minimum maximal chain through C - I
 precedes C, and that chain is decided where it first leaves C.  So a step of
 the walk tests the new last index only for the starts i not yet closed
 (:meth:`MorseEngine._carry_msi_scan`), and :meth:`MorseEngine.msis_direct` is
-the fold of that step.  The J-intervals then come from one left-to-right
-pass over the MSIs (:func:`j_construction`).  The brute-force reference,
-which quantifies over all PLO-earlier chains, lives with the verification
-suites (module ``verify``).
+the fold of that step.  The scan alone decides a chain's sign, so every Morse
+sum is one fold of the walk's scan signs (:meth:`MorseEngine._signs`); only
+:meth:`MorseEngine.critical_chains` builds decompositions, with J-intervals
+from one pass over the MSIs (:func:`j_construction`).  The brute-force
+reference lives with the verification suites (module ``verify``).
 
 The walk to a bottom u takes a move only if u is still reachable after it.
 Labels strictly decrease, so after a move at position p the slots after p
@@ -318,56 +319,59 @@ class MorseEngine:
 
     # -- critical chains and the Morse Mobius sum -----------------------------
 
+    def _interval(self, u: Word, w: Word, name: str) -> tuple[Word, Word]:
+        """u and w checked, and u <= w, else a :class:`DomainError` naming the caller."""
+        u, w = check_word(self.poset, u), check_word(self.poset, w)
+        if not trusted_leq(self.poset, u, w):
+            raise DomainError(f"{name} requires u <= w")
+        return u, w
+
     def critical_chains(
         self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
     ) -> list[MsiDecomposition]:
-        """All critical chains of [u, w], PLO-sorted.
-
-        Only the chains of the strictly decreasing walk are examined; no
-        other chain can be critical, and more than max_chains of them is a
-        :class:`ResourceLimitError`.
-        """
-        u = check_word(self.poset, u)
-        w = check_word(self.poset, w)
-        if not trusted_leq(self.poset, u, w):
-            raise DomainError("critical_chains requires u <= w")
+        """All critical chains of [u, w], PLO-sorted, as decompositions of the
+        strictly decreasing walk's chains (no other chain can be critical);
+        more than max_chains of them is a :class:`ResourceLimitError`."""
+        u, w = self._interval(u, w, "critical_chains")
         if u == w:
             return []
         out: list[MsiDecomposition] = []
         for path, scan in self.walk(w, u, max_chains):
-            _, words, etas, labels = path
-            chain = LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
+            chain = LabeledChain(self.poset, *map(tuple, path[1:]))
             dec = self.decomposition_direct(chain, scan)
             if dec.is_critical:
                 out.append(dec)
         return out
 
+    def _signs(self, w: Word, u: Word | None, max_chains: int) -> dict[Embedding, int]:
+        """Sum (-1)^d over the critical chains of ``walk(w, u)`` by final
+        embedding, in walk order, reading each sign off the carried scan."""
+        table: dict[Embedding, int] = {}
+        for path, scan in self.walk(w, u, max_chains):
+            sign = _scan_sign(tuple(scan))
+            if sign:
+                eta = path.final_embedding
+                table[eta] = table.get(eta, 0) + sign
+        return table
+
     def mobius_morse(self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS) -> int:
-        u = check_word(self.poset, u)
-        w = check_word(self.poset, w)
+        u, w = self._interval(u, w, "mobius_morse")
         if u == w:
             return 1
-        if not trusted_leq(self.poset, u, w):
-            raise DomainError("mobius_morse requires u <= w")
-        total = sum(dec.sign() for dec in self.critical_chains(u, w, max_chains))
-        return check_i64(total, "mobius_morse")
+        return check_i64(sum(self._signs(w, u, max_chains).values()), "mobius_morse")
 
     def mobius_morse_below(
         self, w: Word, words: Iterable[Word], max_chains: int = DEFAULT_MAX_CHAINS
     ) -> dict[Word, int]:
-        """mu(u, w) for every u <= w via the Morse sum over one walk of w.
-
-        ``words`` lists [empty, w] (the verification sweep passes its
+        """mu(u, w) for every u <= w: the scan signs of one walk of w summed by
+        word.  ``words`` lists [empty, w] (the verification sweep passes its
         diagram's nodes), and a word no critical chain ends at gets mu 0.
-        More than max_chains walked prefixes is a :class:`ResourceLimitError`.
-        """
+        More than max_chains walked prefixes is a :class:`ResourceLimitError`."""
         w = check_word(self.poset, w)
         table: dict[Word, int] = {}
-        for path, scan in self.walk(w, None, max_chains):
-            sign = _scan_sign(tuple(scan))
-            if sign:
-                bottom = path.bottom
-                table[bottom] = check_i64(table.get(bottom, 0) + sign, "mobius_morse_below")
+        for eta, sign in self._signs(w, None, max_chains).items():
+            u = restrict(eta)
+            table[u] = check_i64(table.get(u, 0) + sign, "mobius_morse_below")
         for u in words:
             table.setdefault(u, 0)
         table[w] = 1
@@ -378,15 +382,8 @@ class MorseEngine:
     ) -> dict[Embedding, int]:
         """Morse contribution of each final embedding of [u, w]'s critical
         chains, from one walk; an embedding no critical chain ends at is absent."""
-        u = check_word(self.poset, u)
-        w = check_word(self.poset, w)
-        if u == w:
-            return {w: 1}
-        out: dict[Embedding, int] = {}
-        for dec in self.critical_chains(u, w, max_chains):
-            eta = dec.chain.final_embedding
-            out[eta] = check_i64(out.get(eta, 0) + dec.sign(), "embedding_mus")
-        return out
+        u, w = self._interval(u, w, "embedding_mus")
+        return {w: 1} if u == w else self._signs(w, u, max_chains)
 
 
 @lru_cache(maxsize=4096)

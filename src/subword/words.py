@@ -115,20 +115,22 @@ def embeddings(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> list[E
     above = poset.above
     out: list[Embedding] = []
     eta = [ZERO] * len(w)
-
-    def place(j: int, start: int) -> None:
-        if j == len(u):
-            out.append(tuple(eta))
-            return
-        # need len(u)-j more slots in positions start..len(w)-1
-        for i in range(start, len(w) - (len(u) - j) + 1):
+    slots: list[int] = []  # the slots of the letters of u placed so far
+    i = 0  # the next slot to try for u[len(slots)]
+    while True:
+        j = len(slots)
+        if j < len(u) and i <= len(w) - len(u) + j:  # room for u[j:] from slot i on
             if w[i] in above[u[j]]:
                 eta[i] = u[j]
-                place(j + 1, i + 1)
-                eta[i] = ZERO
-
-    place(0, 0)
-    return out
+                slots.append(i)
+            i += 1
+        else:
+            if j == len(u):
+                out.append(tuple(eta))
+            if not slots:
+                return out
+            i = slots.pop() + 1
+            eta[i - 1] = ZERO
 
 
 def runs(w: Sequence[int]) -> list[tuple[int, int, int]]:

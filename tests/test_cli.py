@@ -334,6 +334,16 @@ def test_verbose_terms_check_only_their_products(capsys):
     assert sum(line.startswith("  embedding ") for line in out.splitlines()) == 66
 
 
+def test_verbose_places_a_long_u_without_recursion(capsys):
+    # [1^1000, 3^1000] has one embedding; placing u's 1000 letters once
+    # recursed once per letter and died after printing the value
+    code, out, err = run(
+        capsys, "mobius", "--poset", "lambda", "--u", "1" * 1000, "--w", "3" * 1000, "--verbose"
+    )
+    assert code == 0 and err == ""
+    assert sum(line.startswith("  embedding ") for line in out.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -591,19 +592,74 @@ def test_embeddings_share_one_critical_chain_walk(lam, monkeypatch):
     # lambda [1, 3^8]: its 8 embeddings' contributions come from one walk
     eng = MorseEngine(lam)
     walks = []
-    real = MorseEngine.critical_chains
+    real = MorseEngine.walk
 
     def counted(self, *args, **kwargs):
         walks.append(args)
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(MorseEngine, "critical_chains", counted)
+    monkeypatch.setattr(MorseEngine, "walk", counted)
     u, w = parse_word(lam, "1"), parse_word(lam, "3" * 8)
     by_embedding = eng.embedding_mus(u, w)
     assert sum(by_embedding.get(eta, 0) for eta in embeddings(lam, u, w)) == -576
     assert len(walks) == 1
     assert set(by_embedding) <= set(embeddings(lam, u, w))
     assert eng.embedding_mus(w, w) == {w: 1}
+
+
+def test_sums_of_scan_signs_match_the_critical_chains(monkeypatch):
+    # reference: the signs of the decompositions that critical_chains lists,
+    # grouped by final embedding in PLO order; the Morse sums must not need
+    # that list (fig3, with 9 elements, stops at |w| = 2 to bound the time)
+    posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(30)]
+    cases = []
+    for poset in posets:
+        eng = MorseEngine(poset)
+        for w in all_words(poset, 2 if poset.n > 5 else 3):
+            for u in build_interval(poset, (), w).nodes:
+                if u == w:
+                    continue
+                by_embedding = {}
+                for dec in eng.critical_chains(u, w):
+                    eta = dec.chain.final_embedding
+                    by_embedding[eta] = by_embedding.get(eta, 0) + dec.sign()
+                cases.append((eng, u, w, by_embedding))
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a Morse sum built the critical-chain list")
+
+    monkeypatch.setattr(MorseEngine, "critical_chains", unused)
+    for eng, u, w, by_embedding in cases:
+        assert list(eng.embedding_mus(u, w).items()) == list(by_embedding.items())
+        assert eng.mobius_morse(u, w) == sum(by_embedding.values())
+    assert len(cases) == 27732
+
+
+def test_morse_sums_hold_no_chain_list(lam):
+    # lambda [1, 3^10] has 2,816 critical chains; summing their signs keeps
+    # none of them (the critical-chain list peaked at about 9 MiB)
+    u, w = parse_word(lam, "1"), parse_word(lam, "3" * 10)
+    expected = mobius_main(lam, u, w).value
+    embedding_total = lambda eng, u, w: sum(eng.embedding_mus(u, w).values())
+    for total in (MorseEngine.mobius_morse, embedding_total):
+        tracemalloc.start()
+        try:
+            assert total(MorseEngine(lam), u, w) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+
+def test_morse_sums_require_comparable(lam):
+    eng = MorseEngine(lam)
+    u, w = parse_word(lam, "2"), parse_word(lam, "11")
+    with pytest.raises(DomainError):
+        eng.embedding_mus(u, w)
+    with pytest.raises(DomainError):
+        eng.mobius_morse(u, w)
+    assert eng.embedding_mus(w, w) == {w: 1}
+    assert eng.mobius_morse(w, w) == 1
 
 
 def test_mobius_morse_below_enforces_its_chain_cap(lam):

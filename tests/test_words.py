@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,38 @@ def test_embedding_count_binomial(lam):
         for j in range(i, 6):
             count = len(embeddings(lam, (0,) * i, (2,) * j))
             assert count == math.comb(j, i)
+
+
+def reference_embeddings(poset, u, w):
+    """Embeddings of u in w from every support, in itertools' lexicographic order."""
+    out = []
+    for support in itertools.combinations(range(len(w)), len(u)):
+        if all(w[i] in poset.above[x] for i, x in zip(support, u)):
+            eta = [ZERO] * len(w)
+            for i, x in zip(support, u):
+                eta[i] = x
+            out.append(tuple(eta))
+    return out
+
+
+def test_embeddings_match_the_combinations_reference():
+    rng = random.Random(7)
+    posets = [builtin_poset(n) for n in ("lambda", "lambda:3", "fig3", "chain:3")]
+    posets += [random_poset(s) for s in range(30)]
+    nonempty = 0
+    for poset in posets:
+        for _ in range(40):
+            w = tuple(rng.randrange(poset.n) for _ in range(rng.randint(0, 7)))
+            u = tuple(rng.randrange(poset.n) for _ in range(rng.randint(0, len(w))))
+            got = embeddings(poset, u, w)
+            assert got == reference_embeddings(poset, u, w)
+            nonempty += bool(got)
+    assert nonempty == 929
+
+
+def test_embeddings_of_a_long_word_need_no_recursion(lam):
+    u, w = (0,) * 1000, (2,) * 1000
+    assert embeddings(lam, u, w) == [u]
 
 
 def rightmost(poset, u_txt, w_txt):
