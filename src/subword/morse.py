@@ -60,14 +60,6 @@ class LabeledChain(NamedTuple):
     labels: tuple[Label, ...]
 
     @property
-    def top(self) -> Word:
-        return self.words[0]
-
-    @property
-    def bottom(self) -> Word:
-        return self.words[-1]
-
-    @property
     def final_embedding(self) -> Embedding:
         return self.embeddings[-1]
 
@@ -329,15 +321,19 @@ class MorseEngine:
     def critical_chains(
         self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
     ) -> list[MsiDecomposition]:
-        """All critical chains of [u, w], PLO-sorted, as decompositions of the
-        strictly decreasing walk's chains (no other chain can be critical);
-        more than max_chains of them is a :class:`ResourceLimitError`."""
+        """All critical chains of [u, w], PLO-sorted.
+
+        Only the chains of the strictly decreasing walk are examined; no
+        other chain can be critical, and more than max_chains of them is a
+        :class:`ResourceLimitError`.
+        """
         u, w = self._interval(u, w, "critical_chains")
         if u == w:
             return []
         out: list[MsiDecomposition] = []
         for path, scan in self.walk(w, u, max_chains):
-            chain = LabeledChain(self.poset, *map(tuple, path[1:]))
+            _, words, etas, labels = path
+            chain = LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
             dec = self.decomposition_direct(chain, scan)
             if dec.is_critical:
                 out.append(dec)
@@ -363,10 +359,12 @@ class MorseEngine:
     def mobius_morse_below(
         self, w: Word, words: Iterable[Word], max_chains: int = DEFAULT_MAX_CHAINS
     ) -> dict[Word, int]:
-        """mu(u, w) for every u <= w: the scan signs of one walk of w summed by
-        word.  ``words`` lists [empty, w] (the verification sweep passes its
+        """mu(u, w) for every u <= w via the Morse sum over one walk of w.
+
+        ``words`` lists [empty, w] (the verification sweep passes its
         diagram's nodes), and a word no critical chain ends at gets mu 0.
-        More than max_chains walked prefixes is a :class:`ResourceLimitError`."""
+        More than max_chains walked prefixes is a :class:`ResourceLimitError`.
+        """
         w = check_word(self.poset, w)
         table: dict[Word, int] = {}
         for eta, sign in self._signs(w, None, max_chains).items():

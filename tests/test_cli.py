@@ -335,8 +335,7 @@ def test_verbose_terms_check_only_their_products(capsys):
 
 
 def test_verbose_places_a_long_u_without_recursion(capsys):
-    # [1^1000, 3^1000] has one embedding; placing u's 1000 letters once
-    # recursed once per letter and died after printing the value
+    # [1^1000, 3^1000] has exactly one embedding
     code, out, err = run(
         capsys, "mobius", "--poset", "lambda", "--u", "1" * 1000, "--w", "3" * 1000, "--verbose"
     )

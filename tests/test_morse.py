@@ -338,7 +338,8 @@ def per_prefix_morse_below(chains, prefix_msis, w, nodes):
     for chain, msis in zip(chains, prefix_msis):
         js, critical = clip_and_minimise(msis, *chain.open_range())
         if critical:
-            table[chain.bottom] = table.get(chain.bottom, 0) + (-1) ** (len(js) - 1)
+            bottom = chain.words[-1]
+            table[bottom] = table.get(bottom, 0) + (-1) ** (len(js) - 1)
     for u in nodes:
         table.setdefault(u, 0)
     table[w] = 1
@@ -446,9 +447,10 @@ def folded_critical_chains(eng, chains):
 
 
 def test_pruned_walk_and_carried_scan_match_references():
-    # the reach test drops only dead ends, and the scans carried along the
-    # walk give the decompositions of the per-chain fold
-    posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(20)]
+    # the reach test drops only dead ends, the scans carried along the walk
+    # give the decompositions of the per-chain fold, and the Morse sums equal
+    # their signs, grouped by final embedding in PLO order
+    posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(30)]
     intervals = 0
     for poset in posets:
         eng = MorseEngine(poset)
@@ -459,8 +461,14 @@ def test_pruned_walk_and_carried_scan_match_references():
                 assert list(reference_chains(eng, w, u, decreasing=True)) == chains
                 expected = folded_critical_chains(eng, chains) if u != w else []
                 assert eng.critical_chains(u, w) == expected
+                by_embedding = {w: 1} if u == w else {}
+                for dec in expected:
+                    eta = dec.chain.final_embedding
+                    by_embedding[eta] = by_embedding.get(eta, 0) + dec.sign()
+                assert list(eng.embedding_mus(u, w).items()) == list(by_embedding.items())
+                assert eng.mobius_morse(u, w) == sum(by_embedding.values())
                 intervals += 1
-    assert intervals == 21779
+    assert intervals == 29729
 
 
 def test_walk_matches_the_reference_chains():
@@ -607,37 +615,13 @@ def test_embeddings_share_one_critical_chain_walk(lam, monkeypatch):
     assert eng.embedding_mus(w, w) == {w: 1}
 
 
-def test_sums_of_scan_signs_match_the_critical_chains(monkeypatch):
-    # reference: the signs of the decompositions that critical_chains lists,
-    # grouped by final embedding in PLO order; the Morse sums must not need
-    # that list (fig3, with 9 elements, stops at |w| = 2 to bound the time)
-    posets = [builtin_poset(n) for n in BUILTINS] + [random_poset(s) for s in range(30)]
-    cases = []
-    for poset in posets:
-        eng = MorseEngine(poset)
-        for w in all_words(poset, 2 if poset.n > 5 else 3):
-            for u in build_interval(poset, (), w).nodes:
-                if u == w:
-                    continue
-                by_embedding = {}
-                for dec in eng.critical_chains(u, w):
-                    eta = dec.chain.final_embedding
-                    by_embedding[eta] = by_embedding.get(eta, 0) + dec.sign()
-                cases.append((eng, u, w, by_embedding))
-
+def test_morse_sums_hold_no_chain_list(lam, monkeypatch):
+    # lambda [1, 3^10] has 2,816 critical chains; the sums of their signs
+    # neither list them nor keep them
     def unused(*args, **kwargs):
         raise AssertionError("a Morse sum built the critical-chain list")
 
     monkeypatch.setattr(MorseEngine, "critical_chains", unused)
-    for eng, u, w, by_embedding in cases:
-        assert list(eng.embedding_mus(u, w).items()) == list(by_embedding.items())
-        assert eng.mobius_morse(u, w) == sum(by_embedding.values())
-    assert len(cases) == 27732
-
-
-def test_morse_sums_hold_no_chain_list(lam):
-    # lambda [1, 3^10] has 2,816 critical chains; summing their signs keeps
-    # none of them (the critical-chain list peaked at about 9 MiB)
     u, w = parse_word(lam, "1"), parse_word(lam, "3" * 10)
     expected = mobius_main(lam, u, w).value
     embedding_total = lambda eng, u, w: sum(eng.embedding_mus(u, w).values())
@@ -698,7 +682,7 @@ def classify_single_position_msi(eng, chain):
     subword order, or [empty, (w(j))] when eta(j) is 0: same covers, same
     label keys, all at position 1.  Its SIs are read there by the exact test.
     """
-    w = chain.top
+    w = chain.words[0]
     eta = chain.final_embedding
     diff = [j for j in range(len(w)) if eta[j] != w[j]]
     if len(diff) != 1:
