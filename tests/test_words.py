@@ -130,11 +130,6 @@ def test_embeddings_match_the_combinations_reference():
     assert nonempty == 929
 
 
-def test_embeddings_of_a_long_word_need_no_recursion(lam):
-    u, w = (0,) * 1000, (2,) * 1000
-    assert embeddings(lam, u, w) == [u]
-
-
 def rightmost(poset, u_txt, w_txt):
     """The last embedding in the lexicographic order of supports."""
     return embeddings(poset, parse_word(poset, u_txt), parse_word(poset, w_txt))[-1]
