@@ -19,12 +19,14 @@ sum is one fold of the walk's scan signs (:meth:`MorseEngine._signs`); only
 from one pass over the MSIs (:func:`j_construction`).  The brute-force
 reference lives with the verification suites (module ``verify``).
 
-The walk to a bottom u takes a move only if u is still reachable after it.
-Labels strictly decrease, so after a move at position p the slots after p
-never change again: they must carry a suffix of u, with the rest of u below
-the slots up to p.  Past that cheap test, reachability is decided exactly
-and memoized on (embedding, last label key), so every prefix walked lies on
-a chain to u and the work grows with the chains, not with the dead ends.
+The walk is one DFS on an explicit stack that no chain length can overflow.
+Walking to a bottom u, it enters a move only if the move passes a cheap
+test: labels strictly decrease, so after a move at position p the slots
+after p never change again, and they must carry a suffix of u, with the rest
+of u below the slots up to p.  When a move's frame is popped, whether a
+chain below it reached u is memoized on (embedding, last label key), so a
+dead key is entered once; scans are carried only to yielded chains, so it
+costs no SI test.
 """
 
 from __future__ import annotations
@@ -192,41 +194,18 @@ class MorseEngine:
         MSI scan, carried from its parent prefix (:meth:`_carry_msi_scan`).
 
         With u None every proper prefix is yielded; with u given, every chain
-        down to u, and a move is taken only if u is still reachable after it,
-        so every prefix walked lies on a chain to u.  The chain yielded is one
-        live view of the walk's stacks (lists, not tuples): read it before the
-        walk resumes.  More than max_chains yields is a
-        :class:`ResourceLimitError`.
+        down to u, and a move from which no chain reaches u is entered at
+        most once.  The chain yielded is one live view of the walk's stacks
+        (lists, not tuples): read it before the walk resumes.  More than
+        max_chains yields is a :class:`ResourceLimitError`.
         """
         path = LabeledChain(self.poset, [w], [tuple(w)], [])
         _, words, etas, labels = path
+        scans: list[list[int]] = [[]]  # scans[n - 1]: the scan of the n-word prefix
         reach: dict[tuple[Embedding, tuple[int, int]], bool] = {}
-        count = 0
-
-        def reaches(eta: Embedding, word: Word, key: tuple[int, int]) -> bool:
-            """Whether a walk on from eta with labels below key ends at u.
-            The slots after the last move's position p never change again,
-            so they must carry u's tail, with u's head below the slots up to
-            p; past that cheap test the answer is memoized on (eta, key)."""
-            if word == u:
-                return True
-            hit = reach.get((eta, key))
-            if hit is None:
-                p = key[0]
-                tail = restrict(eta[p:])
-                k = len(u) - len(tail)
-                hit = reach[eta, key] = (
-                    k >= 0
-                    and u[k:] == tail
-                    and trusted_leq(self.poset, u[:k], restrict(eta[:p]))
-                    and any(reaches(*move[1:]) for move in self._moves_below(eta, key))
-                )
-            return hit
-
-        def descend(
-            last: tuple[int, int], scan: list[int]
-        ) -> Iterator[tuple[LabeledChain, list[int]]]:
-            nonlocal count
+        stack: list[list] = []  # per path word: its key, moves left, whether u is below
+        key, count = (len(w) + 1, 0), 0
+        while True:
             at_u = words[-1] == u
             if at_u or u is None and len(words) > 1:
                 count += 1
@@ -234,20 +213,40 @@ class MorseEngine:
                     raise ResourceLimitError(
                         f"interval has more than {max_chains} strictly decreasing chains"
                     )
-                yield path, scan
-                if at_u:
-                    return
-            for label, eta, word, key in self._moves_below(etas[-1], last):
-                if u is not None and not reaches(eta, word, key):
+                while len(scans) < len(words):
+                    hi = len(scans) - 1
+                    scans.append(self._carry_msi_scan(path, scans[-1], hi) if hi else [])
+                yield path, scans[-1]
+            stack.append([key, () if at_u else self._moves_below(etas[-1], key), at_u])
+            while True:
+                frame = stack[-1]
+                for label, eta, word, key in frame[1]:
+                    if u is None or word == u:
+                        break
+                    hit = reach.get((eta, key))
+                    if hit is None:  # the cheap test; popping the key's frame sets it
+                        p = key[0]
+                        tail = restrict(eta[p:])
+                        k = len(u) - len(tail)
+                        hit = reach[eta, key] = k >= 0 and u[k:] == tail and trusted_leq(
+                            self.poset, u[:k], restrict(eta[:p])
+                        )
+                    if hit:
+                        break
+                else:
+                    stack.pop()
+                    if not stack:
+                        return
+                    if u is not None:
+                        reach[etas[-1], frame[0]] = frame[2]
+                        stack[-1][2] |= frame[2]
+                    del etas[-1], words[-1], labels[-1]
+                    del scans[len(words) :]
                     continue
-                etas.append(eta)
-                words.append(word)
-                labels.append(label)
-                hi = len(words) - 2
-                yield from descend(key, self._carry_msi_scan(path, scan, hi) if hi else scan)
-                del etas[-1], words[-1], labels[-1]
-
-        yield from descend((len(w) + 1, 0), [])
+                break
+            etas.append(eta)
+            words.append(word)
+            labels.append(label)
 
     # -- skipped intervals: first divergence from C ----------------------------
 

@@ -139,12 +139,15 @@ class FinitePoset:
 
     def mu0(self, a: int, b: int) -> int:
         """Mobius function of P0 for unchecked ids a <= b, by the classical
-        recursion mu(a,a)=1, mu(a,b) = -sum_{a<=z<b} mu(a,z), memoized."""
+        recursion mu(a,a)=1, mu(a,b) = -sum_{a<=z<b} mu(a,z), memoized.  The
+        sum runs in label order, a linear extension, so each term it reads
+        is already memoized and the recursion is never deeper than 2."""
         if a == b:
             return 1
         key = (a, b)
         if key not in self._mu0:
-            total = sum(self.mu0(a, z) for z in self.interval0(a, b) if z != b)
+            inside = sorted(self.interval0(a, b), key=lambda z: self.labels[z] if z != ZERO else 0)
+            total = sum(self.mu0(a, z) for z in inside if z != b)
             self._mu0[key] = check_i64(-total, f"mobius0({a},{b})")
         return self._mu0[key]
 

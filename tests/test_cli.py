@@ -343,6 +343,30 @@ def test_verbose_places_a_long_u_without_recursion(capsys):
     assert sum(line.startswith("  embedding ") for line in out.splitlines()) == 1
 
 
+# chain:3 [1, 3^120]: each maximal chain takes 359 steps, so a walk that
+# recursed per step would end in RecursionError (exit 1) before the cap
+DEEP = ["--poset", "chain:3", "--u", "1", "--w", "3" * 120, "--max-word-len", "120"]
+
+
+@pytest.mark.parametrize("command", [["critical-chains"], ["mobius", "--method", "morse"]])
+def test_morse_routes_walk_chains_deeper_than_the_recursion_limit(command):
+    proc = _cli(*command, *DEEP, "--max-chains", "1")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: interval has more than 1 strictly decreasing chains\n"
+
+
+def test_mobius0_of_a_poset_whose_ids_are_not_a_linear_extension(tmp_path):
+    # a 600-element chain listed top first: the sum over [e599, e0] in id
+    # order would read each term before its own terms were memoized
+    names = [f"e{i}" for i in range(600)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"elements": names, "covers": list(zip(names[1:], names))}))
+    reversed_chain = _cli("mobius", "--poset", str(path), "--u", "e599", "--w", "e0")
+    chain = _cli("mobius", "--poset", "chain:600", "--u", "1", "--w", "600")
+    assert reversed_chain.returncode == chain.returncode == 0
+    assert reversed_chain.stdout == chain.stdout.replace("(1, 600)", "(e599, e0)")
+
+
 @pytest.mark.parametrize(
     "flags",
     [
