@@ -213,8 +213,7 @@ class MorseEngine:
                     raise ResourceLimitError(
                         f"interval has more than {max_chains} strictly decreasing chains"
                     )
-                while len(scans) < len(words):
-                    hi = len(scans) - 1
+                for hi in range(len(scans) - 1, len(words) - 1):
                     scans.append(self._carry_msi_scan(path, scans[-1], hi) if hi else [])
                 yield path, scans[-1]
             stack.append([key, () if at_u else self._moves_below(etas[-1], key), at_u])

@@ -139,9 +139,8 @@ class FinitePoset:
 
     def mu0(self, a: int, b: int) -> int:
         """Mobius function of P0 for unchecked ids a <= b, by the classical
-        recursion mu(a,a)=1, mu(a,b) = -sum_{a<=z<b} mu(a,z), memoized.  The
-        sum runs in label order, a linear extension, so each term it reads
-        is already memoized and the recursion is never deeper than 2."""
+        recursion mu(a,a)=1, mu(a,b) = -sum_{a<=z<b} mu(a,z), memoized; the
+        sum runs in label order, so every term is memoized before it is read."""
         if a == b:
             return 1
         key = (a, b)
