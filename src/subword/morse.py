@@ -20,19 +20,17 @@ from one pass over the MSIs (:func:`j_construction`).  The brute-force
 reference lives with the verification suites (module ``verify``).
 
 The walk is one DFS on an explicit stack that no chain length can overflow.
-Walking to a bottom u, it enters a move only if the move passes a cheap
-test: labels strictly decrease, so after a move at position p the slots
-after p never change again, and they must carry a suffix of u, with the rest
-of u below the slots up to p.  When a move's frame is popped, whether a
-chain below it reached u is memoized on (embedding, last label key), so a
-dead key is entered once; scans are carried only to yielded chains, so it
-costs no SI test.
+Walking to a bottom u, it enters a move only if some chain below it reaches
+u: labels strictly decrease, so after a move at position p the slots before
+p still hold w's letters, and one table of which prefixes of u they can give
+decides that exactly (:meth:`MorseEngine._reaches`).  Scans are carried only
+to yielded chains, so the walk keeps no state beyond its path.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError, check_i64
 from .poset import ZERO, FinitePoset
@@ -178,14 +176,50 @@ class MorseEngine:
     # -- the strictly decreasing walk -----------------------------------------
 
     def _moves_below(
-        self, eta: Embedding, last: tuple[int, int]
+        self, eta: Embedding, last: tuple[int, int], reaches: Callable | None
     ) -> Iterator[tuple[Label, Embedding, Word, tuple[int, int]]]:
-        """The moves from eta whose label key is below last, with that key."""
+        """The moves from eta whose label key is below last, with that key;
+        with reaches given (the walk to u), only the moves that pass it."""
         for label, nxt, word in self.cover_moves(eta):
             key = self.label_key(label)
             if key >= last:
                 return  # the moves come sorted by label key
-            yield label, nxt, word, key
+            if reaches is None or reaches(nxt, word, key[0]):
+                yield label, nxt, word, key
+
+    def _reaches(self, w: Word, u: Word) -> Callable[[Embedding, Word, int], bool]:
+        """The exact test of the walk from w to u: whether a strictly
+        decreasing chain leads on to u from the move at position p that gave
+        eta, carrying word.
+
+        Later moves have smaller keys, so they leave the slots after p alone and
+        find w's letters before p; a slot may be lowered along covers of P, and
+        deleted once its letter is minimal if that differs from w's letter on
+        its left.  So u is reachable iff the slots after p spell u[k:] and those
+        up to p give u[:k], each keeping a letter >= its letter of u or deleted;
+        bit i of prefix[j] says w's first j slots can give u[:i].
+        """
+        above, below, n = self.poset.above, self.poset.covers_below, self.poset.n
+        # per letter, ZERO last (a deleted slot): the letters of u it can keep,
+        # and the sole minimal letter below it, None if there are several
+        match = [sum(1 << i for i, c in enumerate(u) if x in above[c]) for x in range(n)] + [0]
+        mins = [[m for m in range(n) if not below[m] and x in above[m]] for x in range(n)]
+        sole = [ms[0] if len(ms) == 1 else None for ms in mins] + [None]
+        lefts = (ZERO,) + w  # lefts[j]: the letter left of slot j + 1
+
+        prefix = [1]
+        for x, left in zip(w, lefts):  # one slot more: it keeps x, or is deleted
+            mask = prefix[-1]
+            prefix.append((mask & match[x]) << 1 | (mask if sole[x] != left else 0))
+
+        def reaches(eta: Embedding, word: Word, p: int) -> bool:
+            x, mask = eta[p - 1], prefix[p - 1]  # the same step, for slot p holding x
+            h = p - (x == ZERO)  # the nonzero slots up to p
+            k = len(u) - len(word) + h
+            mask = (mask & match[x]) << 1 | (mask if sole[x] != lefts[p - 1] else 0)
+            return k >= 0 and mask >> k & 1 == 1 and word[h:] == u[k:]
+
+        return reaches
 
     def walk(
         self, w: Word, u: Word | None = None, max_chains: int = DEFAULT_MAX_CHAINS
@@ -194,16 +228,16 @@ class MorseEngine:
         MSI scan, carried from its parent prefix (:meth:`_carry_msi_scan`).
 
         With u None every proper prefix is yielded; with u given, every chain
-        down to u, and a move from which no chain reaches u is entered at
-        most once.  The chain yielded is one live view of the walk's stacks
-        (lists, not tuples): read it before the walk resumes.  More than
-        max_chains yields is a :class:`ResourceLimitError`.
+        down to u, and the walk enters only moves from which u is reachable
+        (:meth:`_reaches`).  The chain yielded is one live view of the walk's
+        stacks (lists, not tuples): read it before the walk resumes.  More
+        than max_chains yields is a :class:`ResourceLimitError`.
         """
         path = LabeledChain(self.poset, [w], [tuple(w)], [])
         _, words, etas, labels = path
         scans: list[list[int]] = [[]]  # scans[n - 1]: the scan of the n-word prefix
-        reach: dict[tuple[Embedding, tuple[int, int]], bool] = {}
-        stack: list[list] = []  # per path word: its key, moves left, whether u is below
+        reaches = None if u is None else self._reaches(w, u)
+        stack: list[Iterator] = []  # per path word: its moves left
         key, count = (len(w) + 1, 0), 0
         while True:
             at_u = words[-1] == u
@@ -216,33 +250,14 @@ class MorseEngine:
                 for hi in range(len(scans) - 1, len(words) - 1):
                     scans.append(self._carry_msi_scan(path, scans[-1], hi) if hi else [])
                 yield path, scans[-1]
-            stack.append([key, () if at_u else self._moves_below(etas[-1], key), at_u])
-            while True:
-                frame = stack[-1]
-                for label, eta, word, key in frame[1]:
-                    if u is None or word == u:
-                        break
-                    hit = reach.get((eta, key))
-                    if hit is None:  # the cheap test; popping the key's frame sets it
-                        p = key[0]
-                        tail = restrict(eta[p:])
-                        k = len(u) - len(tail)
-                        hit = reach[eta, key] = k >= 0 and u[k:] == tail and trusted_leq(
-                            self.poset, u[:k], restrict(eta[:p])
-                        )
-                    if hit:
-                        break
-                else:
-                    stack.pop()
-                    if not stack:
-                        return
-                    if u is not None:
-                        reach[etas[-1], frame[0]] = frame[2]
-                        stack[-1][2] |= frame[2]
-                    del etas[-1], words[-1], labels[-1]
-                    del scans[len(words) :]
-                    continue
-                break
+            stack.append(iter(()) if at_u else self._moves_below(etas[-1], key, reaches))
+            while (move := next(stack[-1], None)) is None:
+                stack.pop()
+                if not stack:
+                    return
+                del etas[-1], words[-1], labels[-1]
+                del scans[len(words) :]
+            label, eta, word, key = move
             etas.append(eta)
             words.append(word)
             labels.append(label)

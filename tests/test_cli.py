@@ -266,13 +266,21 @@ def test_critical_chains_rejects_bad_caps(capsys, monkeypatch, flags, env):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def _cli(*argv, env=None):
-    """Run the CLI in a child process that must exit within 5 s."""
+def _cli(*argv, env=None, max_mib=None):
+    """Run the CLI in a child process that must exit within 5 s; with
+    max_mib, under that address-space limit (skipped where there is none)."""
     src = str(Path(subword.__file__).resolve().parents[1])
+    limit = None
+    if max_mib is not None:
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+        cap = max_mib * 2**20
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     return subprocess.run(
         [sys.executable, "-m", "subword.cli", *argv],
         env=dict(os.environ, PYTHONPATH=src, **(env or {})),
-        capture_output=True, text=True, timeout=5,
+        capture_output=True, text=True, timeout=5, preexec_fn=limit,
     )
 
 
@@ -353,6 +361,31 @@ def test_morse_routes_walk_chains_deeper_than_the_recursion_limit(command):
     proc = _cli(*command, *DEEP, "--max-chains", "1")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: interval has more than 1 strictly decreasing chains\n"
+
+
+# fig3 [2, 15 9^60]: no strictly decreasing chain reaches 2, while the
+# decreasing prefixes from w multiply by about 7 per letter
+NO_CHAIN = ["--poset", "fig3", "--u", "2", "--w", "15" + "9" * 60, "--max-word-len", "80"]
+
+
+@pytest.mark.parametrize(
+    "command, last",
+    [
+        (["critical-chains"], "critical chains: 0, mobius sum: 0"),
+        (["mobius", "--method", "morse"], "= 0  (morse)"),
+    ],
+)
+def test_morse_routes_enter_no_dead_end_under_400_mib(command, last):
+    proc = _cli(*command, *NO_CHAIN, "--max-chains", "1", max_mib=400)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.endswith(last + "\n")
+
+
+def test_running_out_of_memory_exits_3():
+    # the oracle holds the whole diagram of [empty, 3^8], about 290 MiB
+    proc = _cli("mobius", "--poset", "lambda", "--u", "-", "--w", "3" * 8, "--method", "oracle",
+                max_mib=250)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
 def test_mobius0_of_a_poset_whose_ids_are_not_a_linear_extension(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -507,6 +508,61 @@ def test_walk_to_u_expands_no_dead_end(fig3, monkeypatch):
     u, w = parse_word(fig3, "2"), parse_word(fig3, "15" + "9" * 10)
     assert eng.critical_chains(u, w, max_chains=1) == []
     assert len(calls) == len(set(calls))
+
+
+def permuted_poset(seed):
+    """random_poset(seed, 6) with its ids shuffled by the same seed, so that
+    its labels need not be id + 1, as random_poset's always are."""
+    base = random_poset(seed, 6)
+    perm = list(range(base.n))
+    random.Random(seed).shuffle(perm)
+    names = [""] * base.n
+    for i, name in enumerate(base.names):
+        names[perm[i]] = name
+    return FinitePoset(names, [(perm[a], perm[b]) for a, b in base.covers])
+
+
+def test_walk_to_u_expands_only_embeddings_on_its_chains(monkeypatch):
+    # the reach test is exact: on every [u, w] with |w| <= 3 the walk yields
+    # the unpruned reference chains and expands no embedding off them, also
+    # on posets whose labels differ from ids + 1
+    relabeled = [permuted_poset(seed) for seed in range(40)]
+    relabeled = [
+        p for p in relabeled
+        if p.n >= 3 and max(p.ranks) <= 3 and p.labels != tuple(range(1, p.n + 1))
+    ]
+    posets = [FinitePoset(["c", "b", "a", "d"], [(2, 0), (2, 1), (1, 3)])]
+    posets += [builtin_poset("chain:4")] + relabeled[:12]
+    real, expanded = MorseEngine.cover_moves, []
+
+    def counted(self, eta):
+        expanded.append(eta)
+        return real(self, eta)
+
+    monkeypatch.setattr(MorseEngine, "cover_moves", counted)
+    intervals = 0
+    for poset in posets:
+        eng = MorseEngine(poset)
+        for w in all_words(poset, 3):
+            for u in build_interval(poset, (), w).nodes:
+                expected = unpruned_decreasing_chains(eng, w, u)
+                expanded.clear()
+                got = walked(eng, w, u)
+                assert got == expected, (poset.names, w, u)
+                assert set(expanded) <= {w, *(eta for c in got for eta in c.embeddings)}
+                intervals += 1
+    assert intervals == 38168
+
+
+def test_walk_to_u_expands_only_w_when_no_chain_reaches_u(fig3, monkeypatch):
+    # fig3 [2, 15 9^30]: no move from w leads on to 2
+    real, calls = MorseEngine.cover_moves, []
+    monkeypatch.setattr(
+        MorseEngine, "cover_moves", lambda self, eta: calls.append(eta) or real(self, eta)
+    )
+    u, w = parse_word(fig3, "2"), parse_word(fig3, "15" + "9" * 30)
+    assert MorseEngine(fig3).critical_chains(u, w, max_chains=1) == []
+    assert calls == [w]
 
 
 @pytest.mark.parametrize("k", [6, 7, 8, 9])
