@@ -8,7 +8,7 @@ shares no code with the formula route (module ``mobius``).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
 from .poset import ZERO, FinitePoset
@@ -16,7 +16,7 @@ from .words import (
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_WORD_LEN,
     Word,
-    check_word,
+    check_interval,
     check_word_len,
     format_word,
     lower_covers,
@@ -77,10 +77,7 @@ class IntervalDiagram:
 
     def up_sets(self) -> list[set[int]]:
         """The indices of the nodes at or above each node, from the top down."""
-        up: list[set[int]] = [set() for _ in self.nodes]
-        for i in reversed(range(len(self.nodes))):
-            up[i] = {i}.union(*(up[j] for j in self._covers_up[i]))
-        return up
+        return self._reach(range(len(self.nodes))[::-1], self._covers_up)
 
     def mobius_bottom_to(self) -> dict[Word, int]:
         """mu(bottom, v) for every node v, by the classical recursion."""
@@ -88,17 +85,22 @@ class IntervalDiagram:
 
     def mobius_to_top(self) -> dict[Word, int]:
         """mu(v, top) for every node v, by the dual recursion."""
-        return self._mobius_along(reversed(range(len(self.nodes))), self._covers_up)
+        return self._mobius_along(range(len(self.nodes))[::-1], self._covers_up)
 
-    def _mobius_along(self, order: Iterable[int], before: list[list[int]]) -> dict[Word, int]:
+    def _reach(self, order: Sequence[int], neighbours: list[list[int]]) -> list[set[int]]:
+        """Node i joined with the reach of neighbours[i], which order visits first."""
+        reach: list[set[int]] = [set() for _ in self.nodes]
+        for i in order:
+            reach[i] = {i}.union(*(reach[j] for j in neighbours[i]))
+        return reach
+
+    def _mobius_along(self, order: Sequence[int], before: list[list[int]]) -> dict[Word, int]:
         """mu from the end the node order starts at to every node;
         before[i] lists the neighbours of node i on that side."""
-        reach: list[set[int]] = [set() for _ in self.nodes]
+        reach = self._reach(order, before)
         mu = [0] * len(self.nodes)
-        for i in order:
-            reach[i] = {i}.union(*(reach[j] for j in before[i]))
-            strict = reach[i] - {i}
-            mu[i] = -sum(mu[j] for j in strict) if strict else 1
+        for i in order:  # mu[i] is still 0, so summing over reach[i] skips it
+            mu[i] = -sum(mu[j] for j in reach[i]) if len(reach[i]) > 1 else 1
         return {v: mu[i] for i, v in enumerate(self.nodes)}
 
     # -- export ---------------------------------------------------------------
@@ -201,11 +203,8 @@ def build_interval(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_word_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> IntervalDiagram:
-    u = check_word(poset, u)
-    w = check_word(poset, w)
     check_word_len(w, max_word_len)
-    if not trusted_leq(poset, u, w):
-        raise DomainError("build_interval requires u <= w")
+    u, w = check_interval(poset, u, w, "build_interval")
 
     below = interval_covers(poset, u, w, max_nodes)
     label = poset.labels

@@ -12,12 +12,12 @@ of an interval (i, j) (:meth:`MorseEngine.is_si`) reads only a chain's first
 j + 2 words: I is skipped iff the PLO-minimum maximal chain through C - I
 precedes C, and that chain is decided where it first leaves C.  So a step of
 the walk tests the new last index only for the starts i not yet closed
-(:meth:`MorseEngine._carry_msi_scan`), and :meth:`MorseEngine.msis_direct` is
-the fold of that step.  The scan alone decides a chain's sign, so every Morse
-sum is one fold of the walk's scan signs (:meth:`MorseEngine._signs`); only
-:meth:`MorseEngine.critical_chains` builds decompositions, with J-intervals
-from one pass over the MSIs (:func:`j_construction`).  The brute-force
-reference lives with the verification suites (module ``verify``).
+(:meth:`MorseEngine._carry_msi_scan`), and :meth:`MorseEngine.msis_direct` reads
+the fold of that step.  The scan alone decides a chain's MSIs, J-intervals
+(:func:`j_construction`) and sign, and one memoized reader gives all three
+(:func:`_read_scan`): every Morse sum folds the walk's scan signs, and
+:meth:`MorseEngine.critical_chains` decomposes only the chains whose sign is
+nonzero.  The brute-force reference lives with module ``verify``.
 
 The walk is one DFS on an explicit stack that no chain length can overflow.
 Walking to a bottom u, it enters a move only if some chain below it reaches
@@ -38,6 +38,7 @@ from .words import (
     DEFAULT_MAX_CHAINS,
     Embedding,
     Word,
+    check_interval,
     check_word,
     format_word,
     lower_covers,
@@ -108,13 +109,6 @@ def j_construction(
             drop, clip = clip, hi + 1
     covered = sum(hi - lo + 1 for lo, hi in js)
     return tuple(js), covered == len(range(open_lo, open_hi + 1))
-
-
-def decompose(chain: LabeledChain, msis: Sequence[IndexInterval]) -> MsiDecomposition:
-    """The decomposition of chain with the given MSIs."""
-    lo, hi = chain.open_range()
-    js, crit = j_construction(msis, lo, hi)
-    return MsiDecomposition(chain, tuple(sorted(msis)), js, crit, len(js) - 1)
 
 
 class MorseEngine:
@@ -303,8 +297,8 @@ class MorseEngine:
         out[i - 1 :] = [hi + 1] * (hi + 1 - i)
         return out
 
-    def msis_direct(self, chain: LabeledChain) -> list[IndexInterval]:
-        """MSIs of chain: the carried scan folded over its prefixes.
+    def _fold_scan(self, chain: LabeledChain) -> tuple[int, ...]:
+        """chain's MSI scan, carried over each of its prefixes in turn.
 
         Each step tests the new end once for every i it closes and once more
         where it stops, so the fold takes O(L) SI tests.
@@ -312,24 +306,21 @@ class MorseEngine:
         ends: list[int] = []
         for hi in range(1, len(chain.words) - 1):
             ends = self._carry_msi_scan(chain, ends, hi)
-        return _msis_of_scan(ends)
+        return tuple(ends)
+
+    def msis_direct(self, chain: LabeledChain) -> list[IndexInterval]:
+        """MSIs of chain, read off its folded scan."""
+        return list(_read_scan(self._fold_scan(chain))[0])
 
     def decomposition_direct(
         self, chain: LabeledChain, ends: list[int] | None = None
     ) -> MsiDecomposition:
-        """The decomposition from chain's carried MSI scan ``ends``; with
-        None, the scan is folded here (:meth:`msis_direct`)."""
-        msis = self.msis_direct(chain) if ends is None else _msis_of_scan(ends)
-        return decompose(chain, msis)
+        """The decomposition read off chain's carried MSI scan ``ends``; with
+        None, the scan is folded here."""
+        msis, js, sign = _read_scan(self._fold_scan(chain) if ends is None else tuple(ends))
+        return MsiDecomposition(chain, msis, js, sign != 0, len(js) - 1)
 
     # -- critical chains and the Morse Mobius sum -----------------------------
-
-    def _interval(self, u: Word, w: Word, name: str) -> tuple[Word, Word]:
-        """u and w checked, and u <= w, else a :class:`DomainError` naming the caller."""
-        u, w = check_word(self.poset, u), check_word(self.poset, w)
-        if not trusted_leq(self.poset, u, w):
-            raise DomainError(f"{name} requires u <= w")
-        return u, w
 
     def critical_chains(
         self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
@@ -340,16 +331,15 @@ class MorseEngine:
         other chain can be critical, and more than max_chains of them is a
         :class:`ResourceLimitError`.
         """
-        u, w = self._interval(u, w, "critical_chains")
+        u, w = check_interval(self.poset, u, w, "critical_chains")
         if u == w:
             return []
         out: list[MsiDecomposition] = []
         for path, scan in self.walk(w, u, max_chains):
-            _, words, etas, labels = path
-            chain = LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
-            dec = self.decomposition_direct(chain, scan)
-            if dec.is_critical:
-                out.append(dec)
+            if _read_scan(tuple(scan))[2]:  # copy the live path only when critical
+                _, words, etas, labels = path
+                chain = LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
+                out.append(self.decomposition_direct(chain, scan))
         return out
 
     def _signs(self, w: Word, u: Word | None, max_chains: int) -> dict[Embedding, int]:
@@ -357,14 +347,14 @@ class MorseEngine:
         embedding, in walk order, reading each sign off the carried scan."""
         table: dict[Embedding, int] = {}
         for path, scan in self.walk(w, u, max_chains):
-            sign = _scan_sign(tuple(scan))
+            sign = _read_scan(tuple(scan))[2]
             if sign:
                 eta = path.final_embedding
                 table[eta] = table.get(eta, 0) + sign
         return table
 
     def mobius_morse(self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS) -> int:
-        u, w = self._interval(u, w, "mobius_morse")
+        u, w = check_interval(self.poset, u, w, "mobius_morse")
         if u == w:
             return 1
         return check_i64(sum(self._signs(w, u, max_chains).values()), "mobius_morse")
@@ -393,20 +383,22 @@ class MorseEngine:
     ) -> dict[Embedding, int]:
         """Morse contribution of each final embedding of [u, w]'s critical
         chains, from one walk; an embedding no critical chain ends at is absent."""
-        u, w = self._interval(u, w, "embedding_mus")
+        u, w = check_interval(self.poset, u, w, "embedding_mus")
         return {w: 1} if u == w else self._signs(w, u, max_chains)
 
 
 @lru_cache(maxsize=4096)
-def _scan_sign(ends: tuple[int, ...]) -> int:
-    """(-1)^d for a chain whose carried scan is ends when it is critical of
-    dimension d, else 0; the scan alone decides it, so it is memoized."""
-    js, critical = j_construction(_msis_of_scan(list(ends)), 1, len(ends))
-    return (1 if len(js) % 2 else -1) if critical else 0
+def _read_scan(
+    ends: tuple[int, ...],
+) -> tuple[tuple[IndexInterval, ...], tuple[IndexInterval, ...], int]:
+    """The MSIs, J-intervals and sign of a chain whose carried scan is ends:
+    the sign is (-1)^d when the chain is critical of dimension d, else 0.
 
-
-def _msis_of_scan(ends: list[int]) -> list[IndexInterval]:
-    """The minimal (i, f(i)) of a carried scan: those with f(i) < f(i + 1),
-    where f(hi + 1) = hi + 1 bounds the open i."""
-    after = ends[1:] + [len(ends) + 1]
-    return [(i, f) for i, (f, g) in enumerate(zip(ends, after), 1) if f < g]
+    The MSIs are the (i, f(i)) with f(i) < f(i + 1), where f(hi + 1) = hi + 1
+    bounds the open i.  The scan alone decides all three, so they are
+    memoized, and chains with equal scans share the tuples.
+    """
+    after = ends[1:] + (len(ends) + 1,)
+    msis = tuple((i, f) for i, (f, g) in enumerate(zip(ends, after), 1) if f < g)
+    js, critical = j_construction(msis, 1, len(ends))
+    return msis, js, (1 if len(js) % 2 else -1) if critical else 0

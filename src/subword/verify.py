@@ -38,7 +38,6 @@ from .morse import (
     LabeledChain,
     MorseEngine,
     MsiDecomposition,
-    decompose,
     j_construction,
 )
 from .poset import DEFAULT_POSET_SPEC, ZERO, FinitePoset, builtin_poset
@@ -48,6 +47,7 @@ from .words import (
     DEFAULT_MAX_NODES,
     Embedding,
     Word,
+    check_interval,
     check_word,
     format_word,
     is_embedding,
@@ -580,7 +580,9 @@ class ChainContext:
         return _minimal_intervals(self.skipped_intervals(chain))
 
     def decomposition(self, chain: LabeledChain) -> MsiDecomposition:
-        return decompose(chain, self.msis(chain))
+        msis = self.msis(chain)
+        js, critical = j_construction(msis, *chain.open_range())
+        return MsiDecomposition(chain, tuple(msis), js, critical, len(js) - 1)
 
 
 def all_chains(
@@ -588,10 +590,7 @@ def all_chains(
 ) -> ChainContext:
     """Every maximal chain of [u, w], PLO-sorted: a DFS over the cover moves,
     which come sorted by label key, keeping each word still above u."""
-    u = check_word(engine.poset, u)
-    w = check_word(engine.poset, w)
-    if not trusted_leq(engine.poset, u, w):
-        raise DomainError("all_chains requires u <= w")
+    u, w = check_interval(engine.poset, u, w, "all_chains")
     chains: list[LabeledChain] = []
 
     def descend(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import InputError, ResourceLimitError
+from .errors import DomainError, InputError, ResourceLimitError
 from .poset import ZERO, FinitePoset
 
 Word = tuple[int, ...]
@@ -88,6 +88,14 @@ def trusted_leq(poset: FinitePoset, u: Word, w: Word) -> bool:
     return j == len(u)
 
 
+def check_interval(poset: FinitePoset, u: Word, w: Word, name: str) -> tuple[Word, Word]:
+    """u and w checked, and u <= w, else a :class:`DomainError` naming the caller."""
+    u, w = check_word(poset, u), check_word(poset, w)
+    if not trusted_leq(poset, u, w):
+        raise DomainError(f"{name} requires u <= w")
+    return u, w
+
+
 def lower_covers(poset: FinitePoset, eta: Embedding) -> Iterator[tuple[int, int]]:
     """The words covered by restrict(eta), one per move (j, y) of checked eta.
 
@@ -144,7 +152,7 @@ def runs(w: Sequence[int]) -> list[tuple[int, int, int]]:
     return out
 
 
-_INTERVAL_NAMES = ("IntervalDiagram", "build_interval", "interval_covers")
+_INTERVAL_NAMES = ("IntervalDiagram", "build_interval")
 
 
 def __getattr__(name: str):

@@ -381,6 +381,15 @@ def test_morse_routes_enter_no_dead_end_under_400_mib(command, last):
     assert proc.stdout.endswith(last + "\n")
 
 
+def test_critical_chains_of_3_to_the_12_answer_under_56_mib():
+    # lambda [1, 3^12]: 13,312 critical chains of the 24,576 walked; copying
+    # and decomposing every walked chain ran out of memory under this limit
+    proc = _cli("critical-chains", "--poset", "lambda", "--u", "1", "--w", "3" * 12,
+                max_mib=56)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.endswith("\ncritical chains: 13312, mobius sum: -13312\n")
+
+
 def test_running_out_of_memory_exits_3():
     # the oracle holds the whole diagram of [empty, 3^8], about 290 MiB
     proc = _cli("mobius", "--poset", "lambda", "--u", "-", "--w", "3" * 8, "--method", "oracle",

@@ -691,6 +691,21 @@ def test_morse_sums_hold_no_chain_list(lam, monkeypatch):
         assert peak < 2 * 2**20, peak
 
 
+def test_critical_chains_decompose_only_critical_chains(lam, monkeypatch):
+    # lambda [1, 3^10]: of the 5,120 strictly decreasing chains the walk
+    # yields, only the 2,816 critical ones are copied and decomposed
+    real, calls = MorseEngine.decomposition_direct, []
+    monkeypatch.setattr(
+        MorseEngine, "decomposition_direct",
+        lambda self, *args: calls.append(args) or real(self, *args),
+    )
+    u, w = parse_word(lam, "1"), parse_word(lam, "3" * 10)
+    decs = MorseEngine(lam).critical_chains(u, w)
+    assert len(decs) == len(calls) == 2816
+    assert all(dec.is_critical for dec in decs)
+    assert sum(1 for _ in MorseEngine(lam).walk(w, u)) == 5120
+
+
 def test_morse_sums_require_comparable(lam):
     eng = MorseEngine(lam)
     u, w = parse_word(lam, "2"), parse_word(lam, "11")
