@@ -12,6 +12,12 @@ oracle`` adds ``interval`` and ``morse``/``all`` add ``morse``.  The other
 four subcommands run in ``commands``, which loads their routes.  ``json`` is
 loaded only where JSON is read or written.
 
+Exit: the ``subword`` script and ``python -m subword.cli`` enter through
+:func:`run`, which freezes the collector after :func:`main` returns, so the
+interpreter's exit-time collections skip every object the call made.
+``main`` never freezes: tests and the benchmark replay call it many times in
+one process.
+
 Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) bounds the intervals that
 interval and the oracle route of mobius build; homotopy and the formula route
 build none.  ``--max-word-len`` bounds |w| for those builds and for the Morse
@@ -26,6 +32,7 @@ of them with exit 2.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -212,9 +219,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry: :func:`main` on ``sys.argv``, then ``gc.freeze()``.
+
+    The freeze moves every object the call made to the permanent generation,
+    which the exit-time collections skip; stdout and stderr are still flushed
+    and atexit handlers still run.  Only a process about to end calls this.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
     # Under ``python -m subword.cli`` this module is ``__main__``; register it
     # under its own name too, so that ``commands`` imports it instead of
     # compiling and running it a second time.
     sys.modules.setdefault(__spec__.name, sys.modules[__name__])
-    sys.exit(main())
+    sys.exit(run())

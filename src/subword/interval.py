@@ -160,14 +160,6 @@ class IntervalDiagram:
             return self.export_dot()
         raise InputError(f"unknown export format {fmt!r}")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalDiagram) and (
-            self.poset, self.bottom, self.top
-        ) == (other.poset, other.bottom, other.top)
-
-    def __hash__(self) -> int:
-        return hash((self.bottom, self.top))
-
 
 def interval_covers(
     poset: FinitePoset, u: Word, w: Word, max_nodes: int

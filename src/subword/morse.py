@@ -147,26 +147,6 @@ class MorseEngine:
         result = self._move_cache[eta] = tuple(moves)
         return result
 
-    def label_chain(self, words: Sequence[Word]) -> LabeledChain:
-        """Label a maximal chain (given top-to-bottom as words)."""
-        words = [check_word(self.poset, v) for v in words]
-        if not words:
-            raise DomainError("a chain needs at least one element")
-        etas: list[Embedding] = [tuple(words[0])]
-        labels: list[Label] = []
-        for v in words[1:]:
-            for label, eta, word in self.cover_moves(etas[-1]):
-                if word == v:
-                    etas.append(eta)
-                    labels.append(label)
-                    break
-            else:
-                raise DomainError(
-                    f"{format_word(self.poset, v)} is not covered by "
-                    f"{format_word(self.poset, restrict(etas[-1]))}"
-                )
-        return LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
-
     # -- the strictly decreasing walk -----------------------------------------
 
     def _moves_below(

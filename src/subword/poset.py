@@ -183,9 +183,14 @@ class FinitePoset:
 
         try:
             data = json.loads(text)
-            names = [str(x) for x in data["elements"]]
+            elements, pairs = data["elements"], data["covers"]
+            if not isinstance(elements, list) or not isinstance(pairs, list):
+                raise ValueError("elements and covers must be arrays")
+            if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+                raise ValueError("each cover must be a 2-element array")
+            names = [str(x) for x in elements]
             ids = {nm: i for i, nm in enumerate(names)}
-            covers = [(ids[str(a)], ids[str(b)]) for a, b in data["covers"]]
+            covers = [(ids[str(a)], ids[str(b)]) for a, b in pairs]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad poset JSON: {exc}") from exc
         return cls(names, covers)

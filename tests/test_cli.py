@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -395,6 +396,29 @@ def test_running_out_of_memory_exits_3():
     proc = _cli("mobius", "--poset", "lambda", "--u", "-", "--w", "3" * 8, "--method", "oracle",
                 max_mib=250)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+
+
+# The child runs the module as ``python -m subword.cli`` would, after an
+# atexit probe that reports how many objects the collector holds frozen.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+sys.argv[1:] = ["mobius", "--poset", "lambda", "--u", "11", "--w", "333"]
+runpy.run_module("subword.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_the_collector_and_main_does_not(capsys):
+    src = str(Path(subword.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "mu(11, 333) = 5  (formula)\n")
+    assert int(proc.stderr) > 0
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "mobius", "--poset", "lambda", "--u", "11", "--w", "333")[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_mobius0_of_a_poset_whose_ids_are_not_a_linear_extension(tmp_path):

@@ -162,6 +162,34 @@ def test_json_round_trip(fig3):
         FinitePoset.from_json('{"elements": ["a"]}')
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"elements": "abc", "covers": [["a", "b"]]}', "must be arrays"),
+        ('{"elements": ["a", "b"], "covers": {"a": "b"}}', "must be arrays"),
+        ('{"elements": ["a", "b"], "covers": "ab"}', "must be arrays"),
+        ('{"elements": ["a", "b"], "covers": ["ab"]}', "2-element array"),
+        ('{"elements": ["a", "b"], "covers": [["a", "b", "b"]]}', "2-element array"),
+        ('{"elements": ["a", "b"], "covers": [{"a": 0, "b": 1}]}', "2-element array"),
+        ('[["a", "b"]]', ""),  # not an object
+    ],
+)
+def test_json_of_the_wrong_shape_is_an_input_error(text, reason):
+    with pytest.raises(InputError, match=f"^bad poset JSON: .*{reason}"):
+        FinitePoset.from_json(text)
+
+
+def test_cli_rejects_string_elements_and_covers(tmp_path, capsys):
+    from subword.cli import main
+
+    path = tmp_path / "p.json"
+    path.write_text('{"elements": "abc", "covers": ["ab"]}')
+    assert main(["mobius", "--poset", str(path), "--u", "a", "--w", "b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad poset JSON: elements and covers must be arrays\n"
+
+
 def test_load_poset_file(tmp_path, lam):
     path = tmp_path / "p.json"
     path.write_text(lam.to_json())
