@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
-from .poset import ZERO, FinitePoset
+from .poset import FinitePoset
 from .words import (
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_WORD_LEN,
@@ -173,8 +173,7 @@ def interval_covers(
     queue = [w]
     for v in queue:
         lower = below[v]
-        for j, y in lower_covers(poset, v):
-            z = v[:j] + v[j + 1 :] if y == ZERO else v[:j] + (y,) + v[j + 1 :]
+        for _, _, z in lower_covers(poset, v):
             if u and not trusted_leq(poset, u, z):  # every word is >= ()
                 continue
             lower.append(z)

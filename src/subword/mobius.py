@@ -6,7 +6,7 @@ position, so each word's column over the positions of w extends its parent
 prefix's column at O(|w|) cost (:func:`_columns`): :func:`mobius_main` reads
 the columns of the prefixes of u, and :func:`mobius_main_below` those of a
 list of words of [empty, w].  A report's per-embedding terms (``--verbose``)
-enumerate the embeddings on each read, at a cost that grows with their number.
+stream the embeddings on each read, in time that grows with their number.
 
 The other routes live apart and share no code with this one: the oracle
 recursion in ``interval``, the Morse sum in ``morse``, the antichain and
@@ -24,8 +24,8 @@ from .words import (
     Embedding,
     Word,
     check_word,
-    embeddings,
     is_embedding,
+    iter_embeddings,
     trusted_leq,
 )
 
@@ -38,10 +38,10 @@ class MobiusReport(NamedTuple):
     comparable: bool = True
 
     @property
-    def per_embedding(self) -> list[tuple[Embedding, int]]:
-        """The formula's (embedding, contribution) terms, enumerated on each read."""
+    def per_embedding(self) -> Iterator[tuple[Embedding, int]]:
+        """The formula's (embedding, contribution) terms, streamed afresh on each read."""
         poset, w = self.poset, self.w
-        return [(eta, _contribution(poset, eta, w)) for eta in embeddings(poset, self.u, w)]
+        return ((eta, _contribution(poset, eta, w)) for eta in iter_embeddings(poset, self.u, w))
 
 
 def contribution(p0, eta: Embedding, w: Word) -> int:

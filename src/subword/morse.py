@@ -130,19 +130,18 @@ class MorseEngine:
 
     def cover_moves(self, eta: Embedding) -> tuple[Move, ...]:
         """All covers of the word carried by eta, as canonically labeled moves
-        (label, embedding, word), the word being the embedding restricted.
+        (label, embedding, word): the word is the cover :func:`lower_covers`
+        builds, and the embedding is eta with the move's slot set.
 
-        The moves are those of :func:`lower_covers`; a deletion zeroes the
-        first position of its run (the rightmost embedding of the shorter
-        word).  Moves are sorted by label key, so DFS emits chains in PLO order.
+        A deletion zeroes the first position of its run (the rightmost
+        embedding of the shorter word).  Moves are sorted by label key, so DFS
+        emits chains in PLO order.
         """
         cached = self._move_cache.get(eta)
         if cached is not None:
             return cached
-        moves = []
-        for j, y in lower_covers(self.poset, eta):
-            nxt = eta[:j] + (y,) + eta[j + 1 :]
-            moves.append(((j + 1, y), nxt, restrict(nxt)))
+        moves = [((j + 1, y), eta[:j] + (y,) + eta[j + 1 :], word)
+                 for j, y, word in lower_covers(self.poset, eta)]
         moves.sort(key=lambda m: self.label_key(m[0]))
         result = self._move_cache[eta] = tuple(moves)
         return result
@@ -158,13 +157,13 @@ class MorseEngine:
             key = self.label_key(label)
             if key >= last:
                 return  # the moves come sorted by label key
-            if reaches is None or reaches(nxt, word, key[0]):
+            if reaches is None or reaches(label, word):
                 yield label, nxt, word, key
 
-    def _reaches(self, w: Word, u: Word) -> Callable[[Embedding, Word, int], bool]:
+    def _reaches(self, w: Word, u: Word) -> Callable[[Label, Word], bool]:
         """The exact test of the walk from w to u: whether a strictly
-        decreasing chain leads on to u from the move at position p that gave
-        eta, carrying word.
+        decreasing chain leads on to u from the move labeled (p, x), which
+        set slot p to x and gave word.
 
         Later moves have smaller keys, so they leave the slots after p alone and
         find w's letters before p; a slot may be lowered along covers of P, and
@@ -186,8 +185,9 @@ class MorseEngine:
             mask = prefix[-1]
             prefix.append((mask & match[x]) << 1 | (mask if sole[x] != left else 0))
 
-        def reaches(eta: Embedding, word: Word, p: int) -> bool:
-            x, mask = eta[p - 1], prefix[p - 1]  # the same step, for slot p holding x
+        def reaches(label: Label, word: Word) -> bool:
+            p, x = label
+            mask = prefix[p - 1]  # the same step, for slot p holding x
             h = p - (x == ZERO)  # the nonzero slots up to p
             k = len(u) - len(word) + h
             mask = (mask & match[x]) << 1 | (mask if sole[x] != lefts[p - 1] else 0)

@@ -188,12 +188,13 @@ class FinitePoset:
                 raise ValueError("elements and covers must be arrays")
             if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
                 raise ValueError("each cover must be a 2-element array")
-            names = [str(x) for x in elements]
-            ids = {nm: i for i, nm in enumerate(names)}
-            covers = [(ids[str(a)], ids[str(b)]) for a, b in pairs]
+            if not all(isinstance(nm, str) for group in (elements, *pairs) for nm in group):
+                raise ValueError("element names must be strings")
+            ids = {nm: i for i, nm in enumerate(elements)}
+            covers = [(ids[a], ids[b]) for a, b in pairs]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad poset JSON: {exc}") from exc
-        return cls(names, covers)
+        return cls(elements, covers)
 
 
 # -- built-in posets ----------------------------------------------------------

@@ -12,7 +12,9 @@ from collections.abc import Sequence
 
 from .errors import DomainError, check_i64
 from .poset import ZERO, FinitePoset
-from .words import Embedding, Word, check_word, embeddings, is_embedding, runs, trusted_leq
+from .words import (
+    Embedding, Word, check_word, embeddings, is_embedding, iter_embeddings, runs, trusted_leq,
+)
 
 
 def is_antichain(poset: FinitePoset) -> bool:
@@ -116,7 +118,7 @@ def mobius_forest(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> int
     w = check_word(poset, w)
     total = sum(
         -1 if _defect(poset, eta, w) % 2 else 1
-        for eta in embeddings(poset, u, w)
+        for eta in iter_embeddings(poset, u, w)
         if _normal_forest(poset, eta, w)
     )
     return check_i64(total, "mobius_forest")

@@ -105,7 +105,7 @@ def sweep(
         for length, words in itertools.groupby(all_words(poset, max_w), key=len):
             engine = MorseEngine(poset)
             for w in words:
-                diagram = build_interval(poset, (), w, max_nodes=max_nodes)
+                diagram = build_interval(poset, (), w, max_nodes=max_nodes, max_word_len=len(w))
                 formula = (
                     mobius_main_below(poset, w, diagram.nodes) if length <= tables_max_w else None
                 )

@@ -96,32 +96,36 @@ def check_interval(poset: FinitePoset, u: Word, w: Word, name: str) -> tuple[Wor
     return u, w
 
 
-def lower_covers(poset: FinitePoset, eta: Embedding) -> Iterator[tuple[int, int]]:
-    """The words covered by restrict(eta), one per move (j, y) of checked eta.
+def lower_covers(poset: FinitePoset, eta: Embedding) -> Iterator[tuple[int, int, Word]]:
+    """The words covered by restrict(eta), one (j, y, cover) per move of
+    checked eta: setting slot j to y lowers a letter by one cover of P, or with
+    y ZERO deletes a minimal letter from the first slot of its run (runs skip
+    ZERO slots).  By McNamara-Sagan these are all the covers of subword order.
 
-    Setting slot j to y lowers a letter by one cover of P, or with y ZERO
-    deletes a minimal letter from the first slot of its run (runs skip ZERO
-    slots).  By McNamara-Sagan these are all the covers of subword order.
-    """
+    Every cover is sliced from restrict(eta), built once per call: the one
+    place that turns a move into the word it gives."""
     covers_below = poset.covers_below
-    prev = ZERO
+    word = restrict(eta) if ZERO in eta else eta
+    prev, h = ZERO, 0  # h: the index in word of slot j's letter
     for j, x in enumerate(eta):
         if x == ZERO:
             continue
-        lower = covers_below[x]
-        for y in lower:
-            yield j, y
-        if not lower and x != prev:
-            yield j, ZERO
-        prev = x
+        head, tail = word[:h], word[h + 1 :]
+        for y in covers_below[x] or ((ZERO,) if x != prev else ()):
+            yield j, y, head + tail if y == ZERO else head + (y,) + tail
+        prev, h = x, h + 1
 
 
 def embeddings(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> list[Embedding]:
     """All embeddings of u in w, ordered lexicographically by nonzero support."""
+    return list(iter_embeddings(poset, u, w))
+
+
+def iter_embeddings(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> Iterator[Embedding]:
+    """:func:`embeddings` streamed: O(|w|) memory however many there are."""
     u = check_word(poset, u)
     w = check_word(poset, w)
     above = poset.above
-    out: list[Embedding] = []
     eta = [ZERO] * len(w)
     slots: list[int] = []  # the slots of the letters of u placed so far
     i = 0  # the next slot to try for u[len(slots)]
@@ -134,9 +138,9 @@ def embeddings(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> list[E
             i += 1
         else:
             if j == len(u):
-                out.append(tuple(eta))
+                yield tuple(eta)
             if not slots:
-                return out
+                return
             i = slots.pop() + 1
             eta[i - 1] = ZERO
 

@@ -391,6 +391,18 @@ def test_critical_chains_of_3_to_the_12_answer_under_56_mib():
     assert proc.stdout.endswith("\ncritical chains: 13312, mobius sum: -13312\n")
 
 
+def test_mobius_verbose_streams_its_terms_under_48_mib():
+    # lambda [1^8, 3^20] has C(20, 8) = 125,970 embeddings; listing them all
+    # before printing the first ran out of memory under this limit
+    proc = _cli("mobius", "--poset", "lambda", "--u", "1" * 8, "--w", "3" * 20, "--verbose",
+                max_mib=48)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"mu({'1' * 8}, {'3' * 20}) = 361181184  (formula)"
+    assert len(lines) == 1 + 125970
+    assert all(line.startswith("  embedding ") for line in lines[1:])
+
+
 def test_running_out_of_memory_exits_3():
     # the oracle holds the whole diagram of [empty, 3^8], about 290 MiB
     proc = _cli("mobius", "--poset", "lambda", "--u", "-", "--w", "3" * 8, "--method", "oracle",
@@ -488,6 +500,14 @@ def test_verify_sweeps_to_the_larger_word_bound(capsys):
         "product-lemma                 20 checks  pass\n"
         "inclusion-exclusion         1544 checks  pass\n"
     )
+
+
+@pytest.mark.parametrize("flag, checks", [("--max-w", 105), ("--lemma-max-w", 10)])
+def test_verify_applies_no_word_length_cap(capsys, flag, checks):
+    # verify takes no --max-word-len, so words past the default cap of 12 are swept
+    code, out, err = run(capsys, "verify", "--posets", "chain:1", flag, "13")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{'oracle-equivalence':<24}  {checks:>6} checks  pass\n")
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from subword.verify import (
     run_oracle_equivalence,
     sweep,
 )
-from subword.words import trusted_leq
+from subword.words import lower_covers, trusted_leq
 
 CHAIN3 = builtin_poset("chain:3")
 BUILTINS = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
@@ -578,6 +578,37 @@ def test_walk_to_u_expands_only_w_when_no_chain_reaches_u(fig3, monkeypatch):
     u, w = parse_word(fig3, "2"), parse_word(fig3, "15" + "9" * 30)
     assert MorseEngine(fig3).critical_chains(u, w, max_chains=1) == []
     assert calls == [w]
+
+
+def reference_lower_covers(poset, eta):
+    """The cover moves of eta, each spliced into eta and restricted: the
+    construction lower_covers replaces, kept as its reference."""
+    prev = ZERO
+    for j, x in enumerate(eta):
+        if x == ZERO:
+            continue
+        lower = poset.covers_below[x]
+        for y in lower:
+            yield j, y, restrict(eta[:j] + (y,) + eta[j + 1 :])
+        if not lower and x != prev:
+            yield j, ZERO, restrict(eta[:j] + (ZERO,) + eta[j + 1 :])
+        prev = x
+
+
+def test_lower_covers_match_the_spliced_reference():
+    # every embedding of every u <= w with |w| <= 3: at each slot, ZERO or a
+    # letter below w's; so ZERO slots, runs and deletions all occur
+    posets = [builtin_poset(name) for name in BUILTINS]
+    posets += [random_poset(seed) for seed in range(30)]
+    posets += [permuted_poset(seed) for seed in range(30)]
+    checked = 0
+    for poset in posets:
+        for w in all_words(poset, 3):
+            slots = [(ZERO, *(x for x in range(poset.n) if poset.leq(x, b))) for b in w]
+            for eta in itertools.product(*slots):
+                assert list(lower_covers(poset, eta)) == list(reference_lower_covers(poset, eta))
+                checked += 1
+    assert checked > 100_000
 
 
 @pytest.mark.parametrize("k", [6, 7, 8, 9])

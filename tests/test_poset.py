@@ -172,6 +172,9 @@ def test_json_round_trip(fig3):
         ('{"elements": ["a", "b"], "covers": [["a", "b", "b"]]}', "2-element array"),
         ('{"elements": ["a", "b"], "covers": [{"a": 0, "b": 1}]}', "2-element array"),
         ('[["a", "b"]]', ""),  # not an object
+        ('{"elements": [["a"], null, true], "covers": [[["a"], null]]}', "must be strings"),
+        ('{"elements": [1, 2], "covers": [[1, 2]]}', "must be strings"),
+        ('{"elements": ["1", "2"], "covers": [[1, "2"]]}', "must be strings"),
     ],
 )
 def test_json_of_the_wrong_shape_is_an_input_error(text, reason):
