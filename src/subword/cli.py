@@ -20,13 +20,14 @@ one process.
 
 Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) bounds the intervals that
 interval and the oracle route of mobius build; homotopy and the formula route
-build none.  ``--max-word-len`` bounds |w| for those builds and for the Morse
-routes, critical-chains and mobius --method morse/all, and ``--max-chains``
-(else SUBWORD_MAX_CHAINS) bounds the strictly decreasing chains those Morse
-routes examine.  verify applies the node cap to each [empty, w] it builds,
-whose nodes its formula and Morse tables read, and the chain cap to every
-Morse walk.  Every subcommand that takes the caps rejects a bad value of any
-of them with exit 2.
+build none.  ``--max-chains`` (else SUBWORD_MAX_CHAINS) bounds the strictly
+decreasing chains that the Morse routes, critical-chains and mobius --method
+morse/all, examine.  ``--max-word-len`` bounds |w| on every route that builds
+or walks (interval, critical-chains, mobius --method oracle/morse/all); only
+this CLI applies it, and no library function takes a word-length cap.
+verify applies the node cap to each [empty, w] it builds, whose nodes its
+formula and Morse tables read, and the chain cap to every Morse walk.  Every
+subcommand that takes the caps rejects a bad value of any of them with exit 2.
 """
 
 from __future__ import annotations
@@ -93,16 +94,15 @@ def cmd_mobius(args: argparse.Namespace) -> int:
     if args.method in ("formula", "all"):
         report = mobius_main(poset, u, w)
         values["formula"] = report.value
+    if args.method != "formula":
+        check_word_len(w, args.max_word_len)
     if args.method in ("oracle", "all"):
         from .interval import mobius_oracle
 
-        values["oracle"] = mobius_oracle(
-            poset, u, w, max_nodes=max_nodes, max_word_len=args.max_word_len
-        )
+        values["oracle"] = mobius_oracle(poset, u, w, max_nodes=max_nodes)
     if args.method in ("morse", "all"):
         from .morse import MorseEngine
 
-        check_word_len(w, args.max_word_len)
         values["morse"] = MorseEngine(poset).mobius_morse(u, w, max_chains)
     pair = f"mu({format_word(poset, u)}, {format_word(poset, w)})"
     if args.format == "json":

@@ -44,9 +44,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
 
     poset, u, w = load_args(args)
     max_nodes, _ = caps(args)
-    diagram = build_interval(
-        poset, u, w, max_nodes=max_nodes, max_word_len=args.max_word_len
-    )
+    check_word_len(w, args.max_word_len)
+    diagram = build_interval(poset, u, w, max_nodes=max_nodes)
     if args.format == "text":
         print(f"nodes={diagram.node_count()}, edges={diagram.edge_count()}")
     else:

@@ -14,10 +14,8 @@ from .errors import DomainError, InputError, ResourceLimitError
 from .poset import FinitePoset
 from .words import (
     DEFAULT_MAX_NODES,
-    DEFAULT_MAX_WORD_LEN,
     Word,
     check_interval,
-    check_word_len,
     format_word,
     lower_covers,
     parse_word,
@@ -131,9 +129,7 @@ class IntervalDiagram:
             if not all(isinstance(s, str) for s in texts):
                 raise ValueError("nodes, bottom and top must be word strings")
             bottom, top = (parse_word(poset, data[k]) for k in ("bottom", "top"))
-            diagram = build_interval(
-                poset, bottom, top, max_nodes=len(data["nodes"]), max_word_len=len(top)
-            )
+            diagram = build_interval(poset, bottom, top, max_nodes=len(data["nodes"]))
             for key, value in json.loads(diagram.export_json()).items():
                 if json.dumps(data[key]) != json.dumps(value):
                     raise ValueError(f"{key!r} is not what [bottom, top] exports")
@@ -188,13 +184,9 @@ def interval_covers(
 
 
 def build_interval(
-    poset: FinitePoset,
-    u: Sequence[int],
-    w: Sequence[int],
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_word_len: int = DEFAULT_MAX_WORD_LEN,
+    poset: FinitePoset, u: Sequence[int], w: Sequence[int], max_nodes: int = DEFAULT_MAX_NODES
 ) -> IntervalDiagram:
-    check_word_len(w, max_word_len)
+    """The Hasse diagram of [u, w], bounded by the node cap alone: no word-length cap applies."""
     u, w = check_interval(poset, u, w, "build_interval")
 
     below = interval_covers(poset, u, w, max_nodes)
@@ -206,12 +198,8 @@ def build_interval(
 
 
 def mobius_oracle(
-    poset: FinitePoset,
-    u: Sequence[int],
-    w: Sequence[int],
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_word_len: int = DEFAULT_MAX_WORD_LEN,
+    poset: FinitePoset, u: Sequence[int], w: Sequence[int], max_nodes: int = DEFAULT_MAX_NODES
 ) -> int:
-    """Classical Mobius recursion over the explicit interval diagram."""
-    diagram = build_interval(poset, u, w, max_nodes=max_nodes, max_word_len=max_word_len)
+    """Classical Mobius recursion over the explicit interval diagram of :func:`build_interval`."""
+    diagram = build_interval(poset, u, w, max_nodes=max_nodes)
     return diagram.mobius_bottom_to()[diagram.top]

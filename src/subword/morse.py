@@ -12,8 +12,8 @@ of an interval (i, j) (:meth:`MorseEngine.is_si`) reads only a chain's first
 j + 2 words: I is skipped iff the PLO-minimum maximal chain through C - I
 precedes C, and that chain is decided where it first leaves C.  So a step of
 the walk tests the new last index only for the starts i not yet closed
-(:meth:`MorseEngine._carry_msi_scan`), and :meth:`MorseEngine.msis_direct` reads
-the fold of that step.  The scan alone decides a chain's MSIs, J-intervals
+(:meth:`MorseEngine._carry_msi_scan`), and :meth:`MorseEngine.decomposition_direct`
+reads the fold of that step.  The scan alone decides a chain's MSIs, J-intervals
 (:func:`j_construction`) and sign, and one memoized reader gives all three
 (:func:`_read_scan`): every Morse sum folds the walk's scan signs, and
 :meth:`MorseEngine.critical_chains` decomposes only the chains whose sign is
@@ -277,27 +277,20 @@ class MorseEngine:
         out[i - 1 :] = [hi + 1] * (hi + 1 - i)
         return out
 
-    def _fold_scan(self, chain: LabeledChain) -> tuple[int, ...]:
-        """chain's MSI scan, carried over each of its prefixes in turn.
-
-        Each step tests the new end once for every i it closes and once more
-        where it stops, so the fold takes O(L) SI tests.
-        """
-        ends: list[int] = []
-        for hi in range(1, len(chain.words) - 1):
-            ends = self._carry_msi_scan(chain, ends, hi)
-        return tuple(ends)
-
-    def msis_direct(self, chain: LabeledChain) -> list[IndexInterval]:
-        """MSIs of chain, read off its folded scan."""
-        return list(_read_scan(self._fold_scan(chain))[0])
-
     def decomposition_direct(
         self, chain: LabeledChain, ends: list[int] | None = None
     ) -> MsiDecomposition:
-        """The decomposition read off chain's carried MSI scan ``ends``; with
-        None, the scan is folded here."""
-        msis, js, sign = _read_scan(self._fold_scan(chain) if ends is None else tuple(ends))
+        """The decomposition read off chain's carried MSI scan ``ends``.
+
+        With None, the scan is folded here over each prefix of chain in turn.
+        Each step tests the new end once for every i it closes and once more
+        where it stops, so the fold takes O(L) SI tests.
+        """
+        if ends is None:
+            ends = []
+            for hi in range(1, len(chain.words) - 1):
+                ends = self._carry_msi_scan(chain, ends, hi)
+        msis, js, sign = _read_scan(tuple(ends))
         return MsiDecomposition(chain, msis, js, sign != 0, len(js) - 1)
 
     # -- critical chains and the Morse Mobius sum -----------------------------

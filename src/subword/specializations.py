@@ -100,7 +100,10 @@ def defect(poset: FinitePoset, eta: Embedding, w: Sequence[int]) -> int:
     deletion there counts toward the defect.
     """
     _require_forest(poset)
-    return _defect(poset, eta, check_word(poset, w))
+    w = check_word(poset, w)
+    if not is_embedding(poset, eta, w):
+        raise DomainError("eta is not an embedding in w")
+    return _defect(poset, eta, w)
 
 
 def _defect(poset: FinitePoset, eta: Embedding, w: Word) -> int:

@@ -105,7 +105,7 @@ def sweep(
         for length, words in itertools.groupby(all_words(poset, max_w), key=len):
             engine = MorseEngine(poset)
             for w in words:
-                diagram = build_interval(poset, (), w, max_nodes=max_nodes, max_word_len=len(w))
+                diagram = build_interval(poset, (), w, max_nodes=max_nodes)
                 formula = (
                     mobius_main_below(poset, w, diagram.nodes) if length <= tables_max_w else None
                 )
@@ -237,7 +237,7 @@ def run_lemmas(intervals: Iterable[Interval], max_chains: int = DEFAULT_MAX_CHAI
             brute_critical = set()
             for chain in context.chains:
                 brute = tuple(context.msis(chain))
-                fast = tuple(engine.msis_direct(chain))
+                fast = engine.decomposition_direct(chain).msis
                 result.record(
                     brute == fast,
                     lambda: f"{where()} chain {chain.describe()}: MSI sets differ "

@@ -304,8 +304,18 @@ def test_morse_routes_enforce_the_chain_cap(argv, env):
     assert proc.stderr == "error: interval has more than 10 strictly decreasing chains\n"
 
 
-@pytest.mark.parametrize("command", [["mobius", "--method", "morse"], ["critical-chains"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mobius", "--method", "morse"],
+        ["critical-chains"],
+        ["interval"],
+        ["mobius", "--method", "oracle"],
+        ["mobius", "--method", "all"],
+    ],
+)
 def test_morse_routes_apply_the_word_length_cap(capsys, command):
+    # the CLI alone caps |w|, on every route that builds an interval or walks
     code, out, err = run(
         capsys, *command, "--poset", "lambda", "--u", "1", "--w", "3333", "--max-word-len", "3"
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from subword import build_interval, builtin_poset, is_leq_words, parse_word
+from subword import build_interval, builtin_poset, is_leq_words, mobius_oracle, parse_word
 from subword.errors import ResourceLimitError
 from subword.verify import all_words, random_poset
 
@@ -93,3 +93,10 @@ def test_node_cap_counts_interval_elements(lam):
     assert build_interval(lam, u, w, max_nodes=24).node_count() == 24
     with pytest.raises(ResourceLimitError, match="exceed the 23-node cap"):
         build_interval(lam, u, w, max_nodes=23)
+
+
+def test_library_applies_no_word_length_cap(lam):
+    # only the CLI caps |w|; the library's builder is bounded by its node cap
+    w = parse_word(lam, "3" * 13)
+    assert build_interval(lam, w, w).node_count() == 1
+    assert mobius_oracle(lam, w, w) == 1

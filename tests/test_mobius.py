@@ -144,6 +144,12 @@ def test_is_normal_forest_and_defect():
     assert defect(chain, emb(chain, "21"), w22) == 1
     with pytest.raises(DomainError):
         is_normal_forest(builtin_poset("lambda"), emb(chain, "12"), w22)
+    # defect, like is_normal_forest, takes only an embedding of w
+    for eta, w in (((0, 0, 0), (1,)), ((2,), (0,))):  # wrong length; 3 is not <= 1
+        with pytest.raises(DomainError):
+            defect(chain, eta, w)
+    with pytest.raises(InputError):  # no element has id 5
+        defect(chain, (5,), (2,))
 
 
 def test_mobius_forest_examples():

@@ -116,3 +116,14 @@ def test_readme_library_example_runs():
         else:
             exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
     assert checked == 4
+
+
+def test_readme_quotes_the_formula_route_line_count():
+    # README's start-up note gives the lines a formula call compiles; it must
+    # follow every edit to the modules that route loads
+    package = Path(subword.__file__).resolve().parent
+    modules = _loaded_modules("mobius", "--poset", "lambda", "--u", "1", "--w", "33")
+    files = [package / ("__init__.py" if m == "subword" else f"{m}.py") for m in modules]
+    total = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"compiles {total} lines of `src/subword`" in readme
