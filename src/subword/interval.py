@@ -17,6 +17,7 @@ from .words import (
     Word,
     check_interval,
     format_word,
+    is_leq_words,
     lower_covers,
     parse_word,
     trusted_leq,
@@ -200,6 +201,9 @@ def build_interval(
 def mobius_oracle(
     poset: FinitePoset, u: Sequence[int], w: Sequence[int], max_nodes: int = DEFAULT_MAX_NODES
 ) -> int:
-    """Classical Mobius recursion over the explicit interval diagram of :func:`build_interval`."""
+    """Classical Mobius recursion over the explicit interval diagram of
+    :func:`build_interval`; 0 where u is not <= w, as there is no interval."""
+    if not is_leq_words(poset, u, w):
+        return 0
     diagram = build_interval(poset, u, w, max_nodes=max_nodes)
     return diagram.mobius_bottom_to()[diagram.top]

@@ -26,7 +26,6 @@ from .words import (
     check_word,
     is_embedding,
     iter_embeddings,
-    trusted_leq,
 )
 
 
@@ -35,7 +34,6 @@ class MobiusReport(NamedTuple):
     u: Word
     w: Word
     value: int
-    comparable: bool = True
 
     @property
     def per_embedding(self) -> Iterator[tuple[Embedding, int]]:
@@ -107,11 +105,10 @@ def _columns(
 
 def mobius_main(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> MobiusReport:
     """The formula route: the columns of the prefixes of u, read at u; only
-    that value is i64-checked, so a prefix of u may overflow where u does not."""
+    that value is i64-checked, so a prefix of u may overflow where u does not.
+    A u not <= w has no embedding in w, so its value is 0 with no test."""
     u = check_word(poset, u)
     w = check_word(poset, w)
-    if not trusted_leq(poset, u, w):
-        return MobiusReport(poset, u, w, 0, comparable=False)
     *_, (_, column) = _columns(poset, w, [u[:k] for k in range(len(u) + 1)])
     return MobiusReport(poset, u, w, check_i64(column[-1], "mobius_main"))
 
@@ -119,12 +116,12 @@ def mobius_main(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> Mobiu
 def mobius_main_below(
     poset: FinitePoset, w: Sequence[int], words: Iterable[Word]
 ) -> dict[Word, int]:
-    """The formula for many u <= w at once: {u: mu(u, w)} for each word u of
+    """The formula for many u at once: {u: mu(u, w)} for each word u of
     ``words``, the table the interval suites check the other routes against.
 
-    ``words`` lists words of [empty, w], each after its parent prefix
-    (shortest first, as an interval's node order does); each value is
-    i64-checked.
+    ``words`` lists words, each after its parent prefix (shortest first, as
+    the node order of [empty, w] does); a word not <= w gets 0, and each
+    value is i64-checked.
     """
     w = check_word(poset, w)
     columns = _columns(poset, w, words)

@@ -38,7 +38,6 @@ from .words import (
     DEFAULT_MAX_CHAINS,
     Embedding,
     Word,
-    check_interval,
     check_word,
     format_word,
     lower_covers,
@@ -298,13 +297,14 @@ class MorseEngine:
     def critical_chains(
         self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
     ) -> list[MsiDecomposition]:
-        """All critical chains of [u, w], PLO-sorted.
+        """All critical chains of [u, w], PLO-sorted; none where u is not <= w,
+        as no chain of the walk reaches u.
 
         Only the chains of the strictly decreasing walk are examined; no
         other chain can be critical, and more than max_chains of them is a
         :class:`ResourceLimitError`.
         """
-        u, w = check_interval(self.poset, u, w, "critical_chains")
+        u, w = check_word(self.poset, u), check_word(self.poset, w)
         if u == w:
             return []
         out: list[MsiDecomposition] = []
@@ -327,10 +327,8 @@ class MorseEngine:
         return table
 
     def mobius_morse(self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS) -> int:
-        u, w = check_interval(self.poset, u, w, "mobius_morse")
-        if u == w:
-            return 1
-        return check_i64(sum(self._signs(w, u, max_chains).values()), "mobius_morse")
+        """The Morse sum of :meth:`embedding_mus`: 0 where u is not <= w."""
+        return check_i64(sum(self.embedding_mus(u, w, max_chains).values()), "mobius_morse")
 
     def mobius_morse_below(
         self, w: Word, words: Iterable[Word], max_chains: int = DEFAULT_MAX_CHAINS
@@ -355,8 +353,9 @@ class MorseEngine:
         self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
     ) -> dict[Embedding, int]:
         """Morse contribution of each final embedding of [u, w]'s critical
-        chains, from one walk; an embedding no critical chain ends at is absent."""
-        u, w = check_interval(self.poset, u, w, "embedding_mus")
+        chains, from one walk; an embedding no critical chain ends at is
+        absent, so the table is empty where u is not <= w: no chain reaches u."""
+        u, w = check_word(self.poset, u), check_word(self.poset, w)
         return {w: 1} if u == w else self._signs(w, u, max_chains)
 
 

@@ -89,7 +89,9 @@ def trusted_leq(poset: FinitePoset, u: Word, w: Word) -> bool:
 
 
 def check_interval(poset: FinitePoset, u: Word, w: Word, name: str) -> tuple[Word, Word]:
-    """u and w checked, and u <= w, else a :class:`DomainError` naming the caller."""
+    """u and w checked, and u <= w, else a :class:`DomainError` naming the
+    caller: the guard of what describes [u, w] itself (``build_interval``,
+    ``verify.all_chains``), as every Mobius route gives 0 where u is not <= w."""
     u, w = check_word(poset, u), check_word(poset, w)
     if not trusted_leq(poset, u, w):
         raise DomainError(f"{name} requires u <= w")

@@ -113,6 +113,25 @@ def test_critical_chains_trivial_interval(capsys):
     assert code == 0 and out == "critical chains: 0, mobius sum: 1\n"
 
 
+@pytest.mark.parametrize("u, w", [("3", "1"), ("111", "3")])
+@pytest.mark.parametrize("method", ["formula", "oracle", "morse", "all", "critical-chains"])
+def test_mobius_is_zero_off_intervals_on_every_route(capsys, method, u, w):
+    # u is not <= w: every Mobius route answers 0, while interval and
+    # homotopy, which describe [u, w] itself, are input errors
+    pair = ["--poset", "lambda", "--u", u, "--w", w]
+    if method == "critical-chains":
+        expect = "critical chains: 0, mobius sum: 0\n"
+        assert run(capsys, "critical-chains", *pair) == (0, expect, "")
+    else:
+        routes = ("formula", "oracle", "morse") if method == "all" else (method,)
+        expect = "".join(f"mu({u}, {w}) = 0  ({r})\n" for r in routes)
+        expect += "agreement: ok\n" if method == "all" else ""
+        assert run(capsys, "mobius", *pair, "--method", method) == (0, expect, "")
+    for command in ("interval", "homotopy"):
+        code, out, err = run(capsys, command, *pair)
+        assert code == 2 and out == "" and "requires u" in err
+
+
 @pytest.mark.parametrize("name", ["lambda:0", "chain:-3"])
 def test_out_of_range_builtin_size_exits_2(capsys, name):
     # the built-in's own reason, not the generic unreadable-file message

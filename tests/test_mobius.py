@@ -37,7 +37,7 @@ from subword import (
 from subword import interval as interval_module
 from subword import mobius as mobius_module
 from subword.morse import MorseEngine
-from subword.specializations import is_rooted_forest
+from subword.specializations import is_antichain, is_rooted_forest
 from subword.verify import all_chains, all_words, random_poset
 
 
@@ -84,7 +84,7 @@ def test_mobius_main_examples(lam, fig3):
 
 def test_mobius_main_incomparable(lam):
     report = mobius_main(lam, parse_word(lam, "2"), parse_word(lam, "11"))
-    assert report.value == 0 and not report.comparable and not list(report.per_embedding)
+    assert report.value == 0 and not list(report.per_embedding)
 
 
 def test_mobius_reports_of_one_interval_are_equal_and_hash_alike(lam):
@@ -100,6 +100,27 @@ def test_mobius_oracle_examples(lam):
     assert mobius_oracle(lam, parse_word(lam, "1"), parse_word(lam, "33")) == -3
     u = parse_word(lam, "31")
     assert mobius_oracle(lam, u, u) == 1
+
+
+def test_every_route_agrees_on_every_pair():
+    # mu(u, w) = 0 for u not <= w on every route, each by its own arithmetic:
+    # every ordered pair with |u|, |w| <= 2, most of them off intervals
+    names = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
+    posets = [builtin_poset(name) for name in names] + [random_poset(s) for s in range(20)]
+    pairs = off = 0
+    for poset in posets:
+        engine = MorseEngine(poset)
+        words = list(all_words(poset, 2))
+        for u, w in itertools.product(words, repeat=2):
+            mu = mobius_main(poset, u, w).value
+            assert mobius_oracle(poset, u, w) == engine.mobius_morse(u, w) == mu, (u, w)
+            if is_antichain(poset):
+                assert mobius_bjorner(poset, u, w) == mu, (u, w)
+            if is_rooted_forest(poset):
+                assert mobius_forest(poset, u, w) == mu, (u, w)
+            pairs += 1
+            off += not is_leq_words(poset, u, w)
+    assert (pairs, off) == (15665, 12663)
 
 
 def test_normal_embeddings_antichain():

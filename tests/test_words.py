@@ -59,7 +59,7 @@ def test_format_word_round_trips():
     assert checked == 3496
 
 
-@pytest.mark.parametrize("name", ["", "-", "∅", "a,b", " a", "a ", "\tb"])
+@pytest.mark.parametrize("name", ["", "-", "∅", "0", "a,b", " a", "a ", "\tb"])
 def test_names_that_words_cannot_spell_are_rejected(name):
     # for elements "a,b" and "c", format_word gave "a,b,c", which parse_word rejects
     with pytest.raises(InputError, match="cannot be written in a word"):
