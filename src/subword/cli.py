@@ -24,7 +24,7 @@ build none.  ``--max-chains`` (else SUBWORD_MAX_CHAINS) bounds the strictly
 decreasing chains that the Morse routes, critical-chains and mobius --method
 morse/all, examine.  ``--max-word-len`` bounds |w| on every route that builds
 or walks (interval, critical-chains, mobius --method oracle/morse/all); only
-this CLI applies it, and no library function takes a word-length cap.
+those subcommands take it, and no library function takes a word-length cap.
 verify applies the node cap to each [empty, w] it builds, whose nodes its
 formula and Morse tables read, and the chain cap to every Morse walk.  Every
 subcommand that takes the caps rejects a bad value of any of them with exit 2.
@@ -73,7 +73,7 @@ def caps(args: argparse.Namespace) -> tuple[int, int]:
         max_chains = _env_int("SUBWORD_MAX_CHAINS", DEFAULT_MAX_CHAINS)
     if max_nodes <= 0 or max_chains <= 0:
         raise InputError("caps must be positive")
-    if getattr(args, "max_word_len", 0) < 0:  # verify takes no word-length cap
+    if getattr(args, "max_word_len", 0) < 0:  # verify and homotopy take none
         raise InputError("the word-length cap must not be negative")
     return max_nodes, max_chains
 
@@ -142,13 +142,18 @@ def cmd_chebyshev(args: argparse.Namespace) -> int:
 
 
 def add_poset_args(parser: argparse.ArgumentParser) -> None:
-    """--poset, --u, --w, the caps and --max-word-len."""
+    """--poset, --u, --w and the node and chain caps."""
     parser.add_argument(
         "--poset", required=True, help="built-in name or poset JSON file path"
     )
     parser.add_argument("--u", required=True, help="bottom word")
     parser.add_argument("--w", required=True, help="top word")
     add_cap_args(parser)
+
+
+def add_walk_args(parser: argparse.ArgumentParser) -> None:
+    """:func:`add_poset_args` and --max-word-len: the subcommands that build or walk."""
+    add_poset_args(parser)
     parser.add_argument(
         "--max-word-len", type=int, default=DEFAULT_MAX_WORD_LEN, help="word length cap"
     )
@@ -162,7 +167,7 @@ def add_cap_args(parser: argparse.ArgumentParser) -> None:
 def _add_command(sub, name: str) -> None:
     if name == "mobius":
         p = sub.add_parser("mobius", help="compute mu(u, w)")
-        add_poset_args(p)
+        add_walk_args(p)
         p.add_argument(
             "--method", choices=("formula", "oracle", "morse", "all"), default="formula"
         )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import add_cap_args, add_poset_args, caps, load_args
+from .cli import add_cap_args, add_poset_args, add_walk_args, caps, load_args
 from .errors import VerificationError
 from .poset import DEFAULT_POSET_SPEC
 from .words import check_word_len
@@ -17,12 +17,12 @@ def add_command(sub, name: str) -> None:
     """Add the subparser of one of this module's subcommands."""
     if name == "interval":
         p = sub.add_parser("interval", help="build and export the interval diagram")
-        add_poset_args(p)
+        add_walk_args(p)
         p.add_argument("--format", choices=("text", "json", "dot"), default="text")
         p.set_defaults(func=cmd_interval)
     elif name == "critical-chains":
         p = sub.add_parser("critical-chains", help="list the critical chains of [u, w]")
-        add_poset_args(p)
+        add_walk_args(p)
         p.set_defaults(func=cmd_critical_chains)
     elif name == "homotopy":
         p = sub.add_parser("homotopy", help="wedge-of-spheres report for [u, w]")

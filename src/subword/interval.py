@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import DomainError, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .poset import FinitePoset
 from .words import (
     DEFAULT_MAX_NODES,
@@ -19,7 +19,6 @@ from .words import (
     format_word,
     is_leq_words,
     lower_covers,
-    parse_word,
     trusted_leq,
 )
 
@@ -29,8 +28,8 @@ class IntervalDiagram:
 
     Only :func:`build_interval` constructs one, and the passes below trust it.
     Nodes are deduplicated canonical words, sorted by length then by natural
-    labels; ``covers_down`` maps each node to the nodes it covers.  Node
-    order is a linear extension: every edge (a, b), where b covers a, has
+    labels; ``covers_down[i]`` lists the ids of the nodes that node i covers.
+    Node order is a linear extension: every edge (a, b), where b covers a, has
     a < b, and no edge repeats.
     """
 
@@ -40,18 +39,16 @@ class IntervalDiagram:
         bottom: Word,
         top: Word,
         nodes: list[Word],
-        covers_down: dict[Word, list[Word]],
+        covers_down: list[list[int]],
     ):
         self.poset = poset
         self.bottom = bottom
         self.top = top
         self.nodes = nodes
-        self.index = index = {v: i for i, v in enumerate(nodes)}
-        self._covers_down: list[list[int]] = []
+        self.index = {v: i for i, v in enumerate(nodes)}
+        self._covers_down = covers_down
         self._covers_up: list[list[int]] = [[] for _ in nodes]
-        for i, v in enumerate(nodes):
-            lower = [index[z] for z in covers_down[v]]
-            self._covers_down.append(lower)
+        for i, lower in enumerate(covers_down):
             for k in lower:
                 self._covers_up[k].append(i)
 
@@ -76,7 +73,8 @@ class IntervalDiagram:
 
     def up_sets(self) -> list[set[int]]:
         """The indices of the nodes at or above each node, from the top down."""
-        return self._reach(range(len(self.nodes))[::-1], self._covers_up)
+        masks = self._reach(range(len(self.nodes))[::-1], self._covers_up)
+        return [{k for k, bit in enumerate(bin(m)[:1:-1]) if bit == "1"} for m in masks]
 
     def mobius_bottom_to(self) -> dict[Word, int]:
         """mu(bottom, v) for every node v, by the classical recursion."""
@@ -86,11 +84,15 @@ class IntervalDiagram:
         """mu(v, top) for every node v, by the dual recursion."""
         return self._mobius_along(range(len(self.nodes))[::-1], self._covers_up)
 
-    def _reach(self, order: Sequence[int], neighbours: list[list[int]]) -> list[set[int]]:
-        """Node i joined with the reach of neighbours[i], which order visits first."""
-        reach: list[set[int]] = [set() for _ in self.nodes]
+    def _reach(self, order: Sequence[int], neighbours: list[list[int]]) -> list[int]:
+        """Each node's reach as an int mask: bit i joined with the masks of
+        neighbours[i], which order visits first."""
+        reach = [0] * len(self.nodes)
         for i in order:
-            reach[i] = {i}.union(*(reach[j] for j in neighbours[i]))
+            mask = 1 << i
+            for j in neighbours[i]:
+                mask |= reach[j]
+            reach[i] = mask
         return reach
 
     def _mobius_along(self, order: Sequence[int], before: list[list[int]]) -> dict[Word, int]:
@@ -98,8 +100,13 @@ class IntervalDiagram:
         before[i] lists the neighbours of node i on that side."""
         reach = self._reach(order, before)
         mu = [0] * len(self.nodes)
-        for i in order:  # mu[i] is still 0, so summing over reach[i] skips it
-            mu[i] = -sum(mu[j] for j in reach[i]) if len(reach[i]) > 1 else 1
+        having: dict[int, int] = {}  # each nonzero mu so far -> the mask of nodes with it
+        for i in order:  # i is in no mask yet, so reach[i] counts only the nodes before it
+            r = reach[i]
+            m = -sum(v * (r & mask).bit_count() for v, mask in having.items()) if before[i] else 1
+            if m:
+                mu[i] = m
+                having[m] = having.get(m, 0) | 1 << i
         return {v: mu[i] for i, v in enumerate(self.nodes)}
 
     # -- export ---------------------------------------------------------------
@@ -116,28 +123,6 @@ class IntervalDiagram:
                 "ranks": self.ranks,
             }
         )
-
-    @classmethod
-    def from_json(cls, poset: FinitePoset, text: str) -> "IntervalDiagram":
-        """The diagram :meth:`export_json` writes for [bottom, top], rebuilt;
-        any other JSON, even a valid diagram in another node order, is an
-        :class:`InputError`.  The JSON's own size caps the rebuild."""
-        import json
-
-        try:
-            data = json.loads(text)
-            texts = (*data["nodes"], data["bottom"], data["top"])
-            if not all(isinstance(s, str) for s in texts):
-                raise ValueError("nodes, bottom and top must be word strings")
-            bottom, top = (parse_word(poset, data[k]) for k in ("bottom", "top"))
-            diagram = build_interval(poset, bottom, top, max_nodes=len(data["nodes"]))
-            for key, value in json.loads(diagram.export_json()).items():
-                if json.dumps(data[key]) != json.dumps(value):
-                    raise ValueError(f"{key!r} is not what [bottom, top] exports")
-            return diagram
-        except (KeyError, TypeError, ValueError, InputError, DomainError,
-                ResourceLimitError) as exc:
-            raise InputError(f"bad interval JSON: {exc}") from exc
 
     def export_dot(self) -> str:
         # Edges point cover -> covered, so the top renders first.
@@ -160,28 +145,30 @@ class IntervalDiagram:
 
 def interval_covers(
     poset: FinitePoset, u: Word, w: Word, max_nodes: int
-) -> dict[Word, list[Word]]:
-    """Every element of [u, w] with the elements of [u, w] it covers.
+) -> tuple[list[Word], list[list[int]]]:
+    """Every element of [u, w], numbered as it is found, with the ids of the
+    elements of [u, w] it covers.
 
-    A breadth-first search down from w over :func:`lower_covers`, keeping the
-    words >= u.  u and w must be checked words with u <= w.
+    A breadth-first search down from w (id 0) over :func:`lower_covers`,
+    keeping the words >= u.  u and w must be checked words with u <= w.
     """
-    below: dict[Word, list[Word]] = {w: []}
-    queue = [w]
-    for v in queue:
-        lower = below[v]
+    ids = {w: 0}
+    words = [w]
+    below: list[list[int]] = []
+    for v in words:
+        lower = []
         for _, _, z in lower_covers(poset, v):
             if u and not trusted_leq(poset, u, z):  # every word is >= ()
                 continue
-            lower.append(z)
-            if z not in below:
-                if len(below) >= max_nodes:
-                    raise ResourceLimitError(
-                        f"interval would exceed the {max_nodes}-node cap"
-                    )
-                below[z] = []
-                queue.append(z)
-    return below
+            k = ids.get(z)
+            if k is None:
+                if len(words) >= max_nodes:
+                    raise ResourceLimitError(f"interval would exceed the {max_nodes}-node cap")
+                k = ids[z] = len(words)
+                words.append(z)
+            lower.append(k)
+        below.append(lower)
+    return words, below
 
 
 def build_interval(
@@ -190,12 +177,16 @@ def build_interval(
     """The Hasse diagram of [u, w], bounded by the node cap alone: no word-length cap applies."""
     u, w = check_interval(poset, u, w, "build_interval")
 
-    below = interval_covers(poset, u, w, max_nodes)
+    words, below = interval_covers(poset, u, w, max_nodes)
     label = poset.labels
     # Length, then labels, is a linear extension: a cover is shorter, or
     # lowers one letter to a smaller label.
-    nodes = sorted(below, key=lambda v: (len(v), tuple(label[x] for x in v)))
-    return IntervalDiagram(poset, u, w, nodes, below)
+    order = sorted(range(len(words)), key=lambda k: (len(words[k]), [label[x] for x in words[k]]))
+    new_id = [0] * len(order)
+    for i, k in enumerate(order):
+        new_id[k] = i
+    covers_down = [[new_id[k] for k in below[j]] for j in order]
+    return IntervalDiagram(poset, u, w, [words[k] for k in order], covers_down)
 
 
 def mobius_oracle(

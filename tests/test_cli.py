@@ -201,10 +201,19 @@ def test_homotopy_parses_caps_but_builds_nothing(capsys):
     # homotopy reads ranks letter by letter, so no interval cap can trip;
     # a bad cap value is still an input error.
     argv = ["homotopy", "--poset", "lambda", "--u", "1", "--w", "33333"]
-    for caps in ([], ["--max-nodes", "5"], ["--max-word-len", "4"]):
+    for caps in ([], ["--max-nodes", "5"], ["--max-chains", "1"]):
         assert run(capsys, *argv, *caps) == (0, "wedge of 48 spheres, dim 7\n", "")
     code, out, err = run(capsys, *argv, "--max-nodes", "-5")
     assert code == 2 and out == "" and "caps must be positive" in err
+
+
+def test_homotopy_takes_no_word_length_cap():
+    # only the subcommands that build or walk [u, w] take --max-word-len
+    code, out, err = _outcome(
+        ["homotopy", "--poset", "lambda", "--u", "1", "--w", "333", "--max-word-len", "0"]
+    )
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --max-word-len 0" in err
 
 
 def test_homotopy_of_a_word_past_the_interval_caps(capsys):
@@ -230,7 +239,7 @@ def test_poset_file_with_an_unspellable_name_exits_2(capsys, tmp_path):
     assert err.startswith("error: element name 'a,b' cannot be written in a word")
 
 
-@pytest.mark.parametrize("command", ["interval", "mobius", "homotopy"])
+@pytest.mark.parametrize("command", ["interval", "mobius", "critical-chains"])
 def test_negative_word_length_cap_rejected(capsys, command):
     code, out, err = run(
         capsys, command, "--poset", "lambda", "--u", "1", "--w", "333",
@@ -433,10 +442,20 @@ def test_mobius_verbose_streams_its_terms_under_48_mib():
 
 
 def test_running_out_of_memory_exits_3():
-    # the oracle holds the whole diagram of [empty, 3^8], about 290 MiB
-    proc = _cli("mobius", "--poset", "lambda", "--u", "-", "--w", "3" * 8, "--method", "oracle",
+    # the oracle on [empty, 3^10] (88,573 nodes, within the node cap) needs
+    # about 600 MiB: one mask of up to N bits per node
+    proc = _cli("mobius", "--poset", "lambda", "--u", "-", "--w", "3" * 10, "--method", "oracle",
                 max_mib=250)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+
+
+def test_oracle_of_3_to_the_8_answers_under_100_mib():
+    # lambda [empty, 3^8] has 9,841 nodes; a Python set of node ids per node
+    # ran out of memory under this limit
+    proc = _cli("mobius", "--poset", "lambda", "--u", "-", "--w", "3" * 8, "--method", "oracle",
+                max_mib=100)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "mu(∅, 33333333) = 128  (oracle)\n"
 
 
 # The child runs the module as ``python -m subword.cli`` would, after an

@@ -11,7 +11,6 @@ from subword import (
     DomainError,
     FinitePoset,
     InputError,
-    IntervalDiagram,
     ResourceLimitError,
     ZERO,
     build_interval,
@@ -220,54 +219,11 @@ def test_mobius_passes_agree(lam):
     assert down[d.top] == up[d.bottom] == 5
 
 
-def test_export_json_round_trip(lam):
-    count = 0
-    for poset, max_w in ((lam, 3), (builtin_poset("fig3"), 2)):
-        for w in all_words(poset, max_w):
-            for u in build_interval(poset, (), w).nodes:
-                d = build_interval(poset, u, w)
-                again = IntervalDiagram.from_json(poset, d.export_json())
-                assert again.export_json() == d.export_json(), (u, w)
-                count += 1
-    assert count == 1412
+def test_export_json_fields(lam):
     d = build_interval(lam, parse_word(lam, "11"), parse_word(lam, "333"))
     data = json.loads(d.export_json())
     assert set(data) == {"bottom", "top", "nodes", "edges", "ranks"}
-    with pytest.raises(InputError):
-        IntervalDiagram.from_json(lam, "{}")
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        {"edges": [[0, 2]]},  # edge index past the node list
-        {"edges": [[-1, 1]]},  # negative edge index
-        {"edges": [[0, 1, 1]]},  # edge that is not a pair
-        {"ranks": [0]},  # fewer ranks than nodes
-        {"ranks": [0, 1, 2]},  # more ranks than nodes
-        {"top": "33"},  # top that is not a node
-        {"nodes": [1, "3"]},  # node that is not a string
-        {"bottom": 1},  # bottom that is not a string
-        {"top": None},  # top that is not a string
-        {"edges": [[0.7, 1]]},  # edge index that is not an integer
-        {"edges": [[0, True]]},  # edge index that is a boolean
-        {"ranks": ["0", 1]},  # rank that is not an integer
-        {"edges": [[1, 0]]},  # edge down the node order
-        {"edges": [[0, 0], [0, 1]]},  # self-loop
-        {"edges": [[0, 1], [1, 0]]},  # 2-cycle
-        {"edges": [[0, 1], [0, 1]]},  # repeated edge
-        {"bottom": "3", "top": "1"},  # bottom above top
-        {"nodes": ["1", "2", "3"], "edges": [[0, 2]], "ranks": [0, 0, 1]},  # stray node
-        {"top": "33", "nodes": ["1", "33"]},  # middle nodes missing: a false cover
-        {"ranks": [7, 7]},  # ranks that are not the interval's
-        {"bottom": "9"},  # bottom with an unknown element name
-    ],
-)
-def test_from_json_rejects_inconsistent_diagram(lam, change):
-    data = {"bottom": "1", "top": "3", "nodes": ["1", "3"], "edges": [[0, 1]], "ranks": [0, 1]}
-    assert IntervalDiagram.from_json(lam, json.dumps(data)).edges == ((0, 1),)
-    with pytest.raises(InputError, match="bad interval JSON"):
-        IntervalDiagram.from_json(lam, json.dumps(dict(data, **change)))
+    assert data["edges"] == [list(e) for e in d.edges] and data["ranks"] == d.ranks
 
 
 def test_export_dot(lam):
