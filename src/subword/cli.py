@@ -18,23 +18,23 @@ interpreter's exit-time collections skip every object the call made.
 ``main`` never freezes: tests and the benchmark replay call it many times in
 one process.
 
-Caps: ``--max-nodes`` (else SUBWORD_MAX_NODES) bounds the intervals that
-interval and the oracle route of mobius build; homotopy and the formula route
-build none.  ``--max-chains`` (else SUBWORD_MAX_CHAINS) bounds the strictly
-decreasing chains that the Morse routes, critical-chains and mobius --method
-morse/all, examine.  ``--max-word-len`` bounds |w| on every route that builds
-or walks (interval, critical-chains, mobius --method oracle/morse/all); only
-those subcommands take it, and no library function takes a word-length cap.
-verify applies the node cap to each [empty, w] it builds, whose nodes its
-formula and Morse tables read, and the chain cap to every Morse walk.  Every
-subcommand that takes the caps rejects a bad value of any of them with exit 2.
+Caps: the command line alone sets them; the environment is not read.
+``--max-nodes`` bounds the intervals that interval and the oracle route of
+mobius build; homotopy and the formula route build none.  ``--max-chains``
+bounds the strictly decreasing chains that the Morse routes, critical-chains
+and mobius --method morse/all, examine.  ``--max-word-len`` bounds |w| on
+every route that builds or walks (interval, critical-chains, mobius --method
+oracle/morse/all); only those subcommands take it, and no library function
+takes a word-length cap.  verify applies the node cap to each [empty, w] it
+builds, whose nodes its formula and Morse tables read, and the chain cap to
+every Morse walk.  Every subcommand that takes the caps rejects a bad value
+of any of them with exit 2, and an unknown option with its own usage line.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 
 from .errors import InputError, ResourceLimitError, SubwordError, VerificationError
@@ -53,29 +53,13 @@ from .words import (
 COMMANDS = ("mobius", "interval", "critical-chains", "chebyshev", "homotopy", "verify")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def caps(args: argparse.Namespace) -> tuple[int, int]:
-    """The node and chain caps from the options, else the environment."""
-    max_nodes = args.max_nodes
-    if max_nodes is None:
-        max_nodes = _env_int("SUBWORD_MAX_NODES", DEFAULT_MAX_NODES)
-    max_chains = args.max_chains
-    if max_chains is None:
-        max_chains = _env_int("SUBWORD_MAX_CHAINS", DEFAULT_MAX_CHAINS)
-    if max_nodes <= 0 or max_chains <= 0:
+    """The node and chain caps, as parsed; a bad value of any cap is an input error."""
+    if args.max_nodes <= 0 or args.max_chains <= 0:
         raise InputError("caps must be positive")
     if getattr(args, "max_word_len", 0) < 0:  # verify and homotopy take none
         raise InputError("the word-length cap must not be negative")
-    return max_nodes, max_chains
+    return args.max_nodes, args.max_chains
 
 
 def load_args(args: argparse.Namespace) -> tuple[FinitePoset, Word, Word]:
@@ -160,8 +144,12 @@ def add_walk_args(parser: argparse.ArgumentParser) -> None:
 
 
 def add_cap_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-nodes", type=int, default=None, help="interval node cap")
-    parser.add_argument("--max-chains", type=int, default=None, help="maximal-chain cap")
+    parser.add_argument(
+        "--max-nodes", type=int, default=DEFAULT_MAX_NODES, help="interval node cap"
+    )
+    parser.add_argument(
+        "--max-chains", type=int, default=DEFAULT_MAX_CHAINS, help="maximal-chain cap"
+    )
 
 
 def _add_command(sub, name: str) -> None:
@@ -201,13 +189,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in COMMANDS if command is None else (command,):
         _add_command(sub, name)
+        sub.choices[name].set_defaults(parser=sub.choices[name])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # as parse_args reports them, but with the subcommand's usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except VerificationError as exc:

@@ -74,7 +74,8 @@ class IntervalDiagram:
     def up_sets(self) -> list[set[int]]:
         """The indices of the nodes at or above each node, from the top down."""
         masks = self._reach(range(len(self.nodes))[::-1], self._covers_up)
-        return [{k for k, bit in enumerate(bin(m)[:1:-1]) if bit == "1"} for m in masks]
+        top = len(self.nodes) - 1  # bit p of each mask stands for node top - p
+        return [{top - p for p, bit in enumerate(bin(m)[:1:-1]) if bit == "1"} for m in masks]
 
     def mobius_bottom_to(self) -> dict[Word, int]:
         """mu(bottom, v) for every node v, by the classical recursion."""
@@ -85,11 +86,12 @@ class IntervalDiagram:
         return self._mobius_along(range(len(self.nodes))[::-1], self._covers_up)
 
     def _reach(self, order: Sequence[int], neighbours: list[list[int]]) -> list[int]:
-        """Each node's reach as an int mask: bit i joined with the masks of
-        neighbours[i], which order visits first."""
+        """Each node's reach as an int mask: the bit of node i joined with the
+        masks of neighbours[i], which order visits first.  Bit p stands for
+        order[p], so either pass's masks grow only as wide as it has come."""
         reach = [0] * len(self.nodes)
-        for i in order:
-            mask = 1 << i
+        for p, i in enumerate(order):
+            mask = 1 << p
             for j in neighbours[i]:
                 mask |= reach[j]
             reach[i] = mask
@@ -101,12 +103,12 @@ class IntervalDiagram:
         reach = self._reach(order, before)
         mu = [0] * len(self.nodes)
         having: dict[int, int] = {}  # each nonzero mu so far -> the mask of nodes with it
-        for i in order:  # i is in no mask yet, so reach[i] counts only the nodes before it
+        for p, i in enumerate(order):  # i is in no mask yet: reach[i] counts the nodes before it
             r = reach[i]
             m = -sum(v * (r & mask).bit_count() for v, mask in having.items()) if before[i] else 1
             if m:
                 mu[i] = m
-                having[m] = having.get(m, 0) | 1 << i
+                having[m] = having.get(m, 0) | 1 << p
         return {v: mu[i] for i, v in enumerate(self.nodes)}
 
     # -- export ---------------------------------------------------------------

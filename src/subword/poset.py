@@ -17,6 +17,7 @@ other references live with the verification suites (module ``verify``).
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -88,20 +89,19 @@ class FinitePoset:
         return tuple(frozenset(s) for s in up)
 
     def _topo_order(self) -> list[int]:
-        """Linear extension taking the smallest available id first.  A scan
-        for the least ready id keeps this quadratic, as ``above`` is anyway,
-        and keeps ``heapq`` off every call's start-up."""
+        """Linear extension taking the smallest available id first.  The ready
+        ids are kept negated in a sorted list, so the least is popped off its
+        end; ``bisect`` is loaded at start-up anyway, where ``heapq`` is not."""
         indeg = [len(self._lower[i]) for i in range(self.n)]
-        ready = {i for i in range(self.n) if indeg[i] == 0}
+        ready = [-i for i in range(self.n - 1, -1, -1) if indeg[i] == 0]
         order: list[int] = []
         while ready:
-            a = min(ready)
-            ready.remove(a)
+            a = -ready.pop()
             order.append(a)
             for b in self._upper[a]:
                 indeg[b] -= 1
                 if indeg[b] == 0:
-                    ready.add(b)
+                    insort(ready, -b)
         if len(order) != self.n:
             raise InputError("cover relation contains a cycle")
         return order

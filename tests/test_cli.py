@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -248,13 +249,11 @@ def test_negative_word_length_cap_rejected(capsys, command):
     assert code == 2 and out == "" and "word-length cap" in err
 
 
-def test_env_var_cap(capsys, monkeypatch):
+def test_caps_come_from_the_command_line_alone(capsys, monkeypatch):
+    # the environment sets no cap: the 364-node interval is built in full
     monkeypatch.setenv("SUBWORD_MAX_NODES", "5")
-    code, _, _ = run(capsys, "interval", "--poset", "lambda", "--u", "", "--w", "33333")
-    assert code == 3
-    monkeypatch.setenv("SUBWORD_MAX_NODES", "not-a-number")
-    code, _, err = run(capsys, "interval", "--poset", "lambda", "--u", "", "--w", "33")
-    assert code == 2
+    code, out, err = run(capsys, "interval", "--poset", "lambda", "--u", "", "--w", "33333")
+    assert (code, out, err) == (0, "nodes=364, edges=1904\n", "")
 
 
 def test_deterministic_output(capsys):
@@ -282,20 +281,15 @@ def test_readme_poset_json_example(capsys, tmp_path):
     assert code == 0 and out == "mu(a, c) = -1  (formula)\n"
 
 
-@pytest.mark.parametrize(
-    "flags, env",
-    [(["--max-nodes", "-5"], None), (["--max-word-len", "-1"], None), ([], "abc")],
-)
-def test_critical_chains_rejects_bad_caps(capsys, monkeypatch, flags, env):
-    if env is not None:
-        monkeypatch.setenv("SUBWORD_MAX_NODES", env)
+@pytest.mark.parametrize("flags", [["--max-nodes", "-5"], ["--max-word-len", "-1"]])
+def test_critical_chains_rejects_bad_caps(capsys, flags):
     code, out, err = run(
         capsys, "critical-chains", "--poset", "lambda", "--u", "1", "--w", "333", *flags
     )
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def _cli(*argv, env=None, max_mib=None):
+def _cli(*argv, max_mib=None):
     """Run the CLI in a child process that must exit within 5 s; with
     max_mib, under that address-space limit (skipped where there is none)."""
     src = str(Path(subword.__file__).resolve().parents[1])
@@ -308,7 +302,7 @@ def _cli(*argv, env=None, max_mib=None):
         limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     return subprocess.run(
         [sys.executable, "-m", "subword.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=src, **(env or {})),
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=5, preexec_fn=limit,
     )
 
@@ -319,15 +313,14 @@ LONG = ["--poset", "lambda", "--u", "1", "--w", "33333333333"]
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["critical-chains", *LONG, "--max-chains", "10"], None),
-        (["critical-chains", *LONG], {"SUBWORD_MAX_CHAINS": "10"}),
-        (["mobius", "--method", "morse", *LONG, "--max-chains", "10"], None),
+        ["critical-chains", *LONG, "--max-chains", "10"],
+        ["mobius", "--method", "morse", *LONG, "--max-chains", "10"],
     ],
 )
-def test_morse_routes_enforce_the_chain_cap(argv, env):
-    proc = _cli(*argv, env=env)
+def test_morse_routes_enforce_the_chain_cap(argv):
+    proc = _cli(*argv)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: interval has more than 10 strictly decreasing chains\n"
 
@@ -458,6 +451,16 @@ def test_oracle_of_3_to_the_8_answers_under_100_mib():
     assert proc.stdout == "mu(∅, 33333333) = 128  (oracle)\n"
 
 
+def test_a_wide_poset_builds_without_a_quadratic_scan():
+    # the linear extension behind the labels once scanned every ready id for
+    # the least, 2 * 10^8 steps here, and the call took over 6 s
+    start = time.perf_counter()
+    proc = _cli("mobius", "--poset", "antichain:20000", "--u", "1", "--w", "12")
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "mu(1, 12) = 0  (formula)\n", "")
+    assert elapsed < 2, elapsed
+
+
 # The child runs the module as ``python -m subword.cli`` would, after an
 # atexit probe that reports how many objects the collector holds frozen.
 FREEZE_PROBE = """
@@ -513,16 +516,10 @@ CHAIN_CAP = "error: interval has more than 3 strictly decreasing chains\n"
 
 
 @pytest.mark.parametrize(
-    "caps, env, message",
-    [
-        (["--max-nodes", "5"], None, NODE_CAP),
-        ([], {"SUBWORD_MAX_NODES": "5"}, NODE_CAP),
-        (["--max-chains", "3"], None, CHAIN_CAP),
-        ([], {"SUBWORD_MAX_CHAINS": "3"}, CHAIN_CAP),
-    ],
+    "caps, message", [(["--max-nodes", "5"], NODE_CAP), (["--max-chains", "3"], CHAIN_CAP)]
 )
-def test_verify_enforces_the_caps(caps, env, message):
-    proc = _cli("verify", "--posets", "lambda", "--max-w", "3", *caps, env=env)
+def test_verify_enforces_the_caps(caps, message):
+    proc = _cli("verify", "--posets", "lambda", "--max-w", "3", *caps)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
 
 
@@ -558,18 +555,8 @@ def test_verify_applies_no_word_length_cap(capsys, flag, checks):
     assert out.startswith(f"{'oracle-equivalence':<24}  {checks:>6} checks  pass\n")
 
 
-@pytest.mark.parametrize(
-    "flags, env",
-    [
-        (["--max-nodes", "-5"], None),
-        (["--max-chains", "0"], None),
-        ([], {"SUBWORD_MAX_NODES": "abc"}),
-        ([], {"SUBWORD_MAX_CHAINS": "1.5"}),
-    ],
-)
-def test_verify_rejects_bad_caps(capsys, monkeypatch, flags, env):
-    for name, value in (env or {}).items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("flags", [["--max-nodes", "-5"], ["--max-chains", "0"]])
+def test_verify_rejects_bad_caps(capsys, flags):
     code, out, err = run(capsys, "verify", "--posets", "lambda", "--max-w", "1", *flags)
     assert code == 2 and out == "" and err.startswith("error: ")
 
@@ -614,3 +601,13 @@ def test_lazy_parser_matches_the_full_one(argv, monkeypatch):
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
     assert _outcome(argv) == lazy
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unknown_option_gets_the_subcommand_usage(command):
+    # the named subcommand's usage, not the top-level one, and exit 2
+    words = WORDS if command not in ("chebyshev", "verify") else []
+    code, out, err = _outcome([command, *words, "--bogus", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: subword {command} [-h]")
+    assert err.endswith(f"subword {command}: error: unrecognized arguments: --bogus 1\n")

@@ -1,5 +1,7 @@
 """The cover-move interval builder against a brute-force pairwise reference."""
 
+import tracemalloc
+
 import pytest
 
 from subword import build_interval, builtin_poset, is_leq_words, mobius_oracle, parse_word
@@ -100,3 +102,22 @@ def test_library_applies_no_word_length_cap(lam):
     w = parse_word(lam, "3" * 13)
     assert build_interval(lam, w, w).node_count() == 1
     assert mobius_oracle(lam, w, w) == 1
+
+
+def _peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_dual_oracle_pass_holds_no_wider_masks(lam):
+    # each pass numbers its mask bits in the order it visits the nodes, so
+    # the top-down pass's masks are no wider than the bottom-up pass's
+    d = build_interval(lam, (), parse_word(lam, "3" * 8))
+    assert d.node_count() == 9841
+    bottom_up = _peak_mib(d.mobius_bottom_to)
+    top_down = _peak_mib(d.mobius_to_top)
+    assert top_down <= 1.2 * bottom_up, (top_down, bottom_up)

@@ -148,6 +148,27 @@ def test_mobius_bjorner():
     assert mobius_bjorner(a2, parse_word(a2, "2"), parse_word(a2, "11")) == 0
 
 
+@pytest.mark.parametrize(
+    "entry, wrong_kind",
+    [
+        (mobius_bjorner, "chain:3"),  # a rooted forest, not an antichain
+        (normal_embeddings_antichain, "chain:3"),
+        (mobius_forest, "lambda"),  # 3 covers both 1 and 2
+    ],
+)
+def test_specialization_entries_reject_bad_input(entry, wrong_kind):
+    # each entry checks its words once, through the embedding enumeration,
+    # and its poset's kind before any word
+    a2 = builtin_poset("antichain:2")
+    for u, w in (((), (5,)), ((5,), ()), ((ZERO,), (0, 1)), ((0,), (1, ZERO)), ((-2,), (0,))):
+        with pytest.raises(InputError):
+            entry(a2, u, w)
+    with pytest.raises(DomainError):
+        entry(builtin_poset(wrong_kind), (), (0,))
+    with pytest.raises(DomainError):  # the kind is checked first
+        entry(builtin_poset(wrong_kind), (), (5,))
+
+
 def test_is_normal_forest_and_defect():
     chain = builtin_poset("chain:3")
     w22 = parse_word(chain, "22")
