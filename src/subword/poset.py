@@ -6,10 +6,10 @@ is the sentinel id :data:`ZERO` (= -1), so word letters and bottom never
 collide.
 
 A :class:`FinitePoset` owns the tables every route reads: ``above`` (up-sets),
-``covers_below`` (lower covers) and a memo of the Mobius function of P0,
-filled on demand by :meth:`FinitePoset.mu0` and shared by every caller.  These
-and :meth:`FinitePoset.interval0` take ids unchecked, so inner loops read them
-only after a public entry has validated its input.
+``covers_below`` (lower covers) and a memo of the Mobius function of P0 that
+keeps each pair :meth:`FinitePoset.mu0` was asked for, shared by every caller.
+These and :meth:`FinitePoset.interval0` take ids unchecked, so inner loops
+read them only after a public entry has validated its input.
 
 The validating view of P0 (``AugmentedPoset``), seeded random posets and the
 other references live with the verification suites (module ``verify``).
@@ -30,8 +30,8 @@ ZERO = -1
 class FinitePoset:
     """An immutable finite poset given by its cover relation.
 
-    The cover digraph must be acyclic and transitively reduced; both are
-    validated at construction rather than silently repaired.
+    The cover digraph must be acyclic and transitively reduced: the linear
+    extension rejects a cycle, the up-set pass a cover a longer path implies.
 
     ``above[a]`` (the elements b with a <= b) and ``covers_below[b]`` (the
     elements covered by b, in id order) are precomputed for inner loops that
@@ -72,21 +72,25 @@ class FinitePoset:
             ranks[x] = max((ranks[a] + 1 for a in self._lower[x]), default=0)
         self.labels = tuple(labels)
         self.ranks = tuple(ranks)
-        self._validate_reduced()
         self._name_to_id = {nm: i for i, nm in enumerate(self.names)}
         self._mu0: dict[tuple[int, int], int] = {}
 
     # -- construction helpers -------------------------------------------------
 
     def _reachability(self, order: list[int]) -> tuple[frozenset[int], ...]:
-        """up[a] = {b : a <= b}, from a linear extension."""
-        up: list[set[int]] = [set() for _ in range(self.n)]
+        """up[a] = {b : a <= b}, from a linear extension, in one reverse pass
+        that rejects a cover (a, b) whose b another upper cover of a reaches."""
+        up: list[frozenset[int]] = [frozenset()] * self.n
         for a in reversed(order):
-            s = {a}
-            for b in self._upper[a]:
-                s |= up[b]
-            up[a] = s
-        return tuple(frozenset(s) for s in up)
+            upper = self._upper[a]
+            for b in upper:
+                if any(b in up[c] for c in upper if c != b):
+                    raise InputError(
+                        f"cover ({self.names[a]},{self.names[b]}) is implied by a "
+                        "longer path; cover set is not transitively reduced"
+                    )
+            up[a] = frozenset((a,)).union(*(up[b] for b in upper))
+        return tuple(up)
 
     def _topo_order(self) -> list[int]:
         """Linear extension taking the smallest available id first.  The ready
@@ -105,15 +109,6 @@ class FinitePoset:
         if len(order) != self.n:
             raise InputError("cover relation contains a cycle")
         return order
-
-    def _validate_reduced(self) -> None:
-        for a, b in self.covers:
-            for c in self._upper[a]:
-                if c != b and b in self.above[c]:
-                    raise InputError(
-                        f"cover ({self.names[a]},{self.names[b]}) is implied by a "
-                        "longer path; cover set is not transitively reduced"
-                    )
 
     # -- queries --------------------------------------------------------------
 
@@ -138,17 +133,21 @@ class FinitePoset:
         return [ZERO] + inside if a == ZERO else inside
 
     def mu0(self, a: int, b: int) -> int:
-        """Mobius function of P0 for unchecked ids a <= b, by the classical
-        recursion mu(a,a)=1, mu(a,b) = -sum_{a<=z<b} mu(a,z), memoized; the
-        sum runs in label order, so every term is memoized before it is read."""
+        """Mobius function of P0 for unchecked ids, 0 unless a <= b.  One pass
+        over [a, b] in label order sets mu(a,a) = 1 and mu(a,z) = -sum mu(a,y)
+        over the y < z found nonzero so far; only (a, b) is memoized."""
         if a == b:
             return 1
-        key = (a, b)
-        if key not in self._mu0:
-            inside = sorted(self.interval0(a, b), key=lambda z: self.labels[z] if z != ZERO else 0)
-            total = sum(self.mu0(a, z) for z in inside if z != b)
-            self._mu0[key] = check_i64(-total, f"mobius0({a},{b})")
-        return self._mu0[key]
+        if (a, b) not in self._mu0:
+            above, labels = self.above, self.labels
+            inside = sorted(self.interval0(a, b), key=lambda z: labels[z] if z != ZERO else 0)
+            found, mu = [], 0  # (y, mu(a,y)) for a < y < z with mu(a,y) != 0
+            for z in inside[1:]:
+                mu = check_i64(-1 - sum(m for y, m in found if z in above[y]), f"mobius0({a},{z})")
+                if mu:
+                    found.append((z, mu))
+            self._mu0[a, b] = mu
+        return self._mu0[a, b]
 
     def id_of(self, name: str) -> int:
         try:

@@ -442,6 +442,14 @@ def test_running_out_of_memory_exits_3():
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
+def test_a_long_chain_answers_under_450000_kib():
+    # chain:4000 [1, 4000]: mu0 once recursed through a memo of every pair of
+    # [0, 4000], and the up-sets were built as sets, then copied to frozensets;
+    # the child took over 12 s and 678 MiB and ran out of memory under this limit
+    proc = _cli("mobius", "--poset", "chain:4000", "--u", "1", "--w", "4000", max_mib=439)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "mu(1, 4000) = 0  (formula)\n", "")
+
+
 def test_oracle_of_3_to_the_8_answers_under_100_mib():
     # lambda [empty, 3^8] has 9,841 nodes; a Python set of node ids per node
     # ran out of memory under this limit

@@ -1,12 +1,13 @@
-"""Metamorphic tests: two symmetries of generalized subword order that every
-Mobius route must respect, checked on words far longer than the interval
-suites sweep.  The formula, the oracle and the Morse sum each break the
-symmetry in their own way (first slots of runs, node order by labels,
-chains by labels), so neither check is trivial for any of them."""
+"""Metamorphic tests: relations of generalized subword order that every
+Mobius route must respect (reversal, relabeling, irrelevant elements),
+checked on words far longer than the interval suites sweep.  The formula,
+the oracle and the Morse sum each break the symmetry in their own way (first
+slots of runs, node order by labels, chains by labels), so no check is
+trivial for any of them."""
 
 import random
 
-from subword import IntegerOverflowError, builtin_poset, mobius_main, mobius_oracle
+from subword import FinitePoset, IntegerOverflowError, builtin_poset, mobius_main, mobius_oracle
 from subword.morse import MorseEngine
 from subword.poset import DEFAULT_POSET_SPEC
 from subword.verify import random_poset
@@ -88,5 +89,44 @@ def test_mu_is_invariant_under_relabeling():
                 assert formula(moved, pu, pw) == mu, (seed, u, w)
                 if max_len == 7:
                     assert mobius_oracle(moved, pu, pw) == engine.mobius_morse(pu, pw) == mu
+                nonzero += mu != 0
+    assert nonzero >= 100
+
+
+def with_irrelevant_elements(rng, poset, count):
+    """poset with count new elements listed first, so each old id x becomes
+    x + count.  Each new element covers a random antichain of the elements
+    before it (old, or new ones already added) and lies below no old one."""
+    below = {x + count: {y + count for y in range(poset.n) if x in poset.above[y]}
+             for x in range(poset.n)}
+    covers = [(a + count, b + count) for a, b in poset.covers]
+    for q in range(count):
+        pool = [x for x in below if rng.random() < 0.3]
+        lower = [x for x in pool if not any(x != y and x in below[y] for y in pool)]
+        covers += [(x, q) for x in lower]
+        below[q] = {q}.union(*(below[x] for x in lower))
+    return FinitePoset([f"new{q}" for q in range(count)] + list(poset.names), covers)
+
+
+def test_mu_is_invariant_under_irrelevant_elements():
+    """Adjoining to P elements that lie below no letter of w, and below no
+    old element, keeps the order of P and adds no word below w, so [u, w] is
+    the same poset and mu(u, w) is unchanged.  Every mu0(x, w(j)) the formula
+    reads is unchanged too, since [x, w(j)] of P0 gains no element.  The new
+    elements come first, so every old id shifts and most labels do: by the
+    formula for |w| <= 40, and by the oracle and Morse for |w| <= 7."""
+    rng = random.Random(29)
+    nonzero = 0
+    for poset in POSETS:
+        grown = with_irrelevant_elements(rng, poset, rng.randint(1, 4))
+        shift = grown.n - poset.n
+        engine = MorseEngine(grown)
+        for max_len, count in ((40, 20), (7, 4)):
+            for u, w in pairs(rng, poset, max_len, count):
+                su, sw = tuple(x + shift for x in u), tuple(x + shift for x in w)
+                mu = formula(poset, u, w)
+                assert formula(grown, su, sw) == mu, (poset, u, w)
+                if max_len == 7:
+                    assert mobius_oracle(grown, su, sw) == engine.mobius_morse(su, sw) == mu
                 nonzero += mu != 0
     assert nonzero >= 100

@@ -8,12 +8,15 @@ from subword import (
     AugmentedPoset,
     FinitePoset,
     InputError,
+    IntegerOverflowError,
     builtin_poset,
     load_poset,
     mobius_hat_chain_count,
+    mobius_main,
 )
 from subword.specializations import is_rooted_forest
 from subword.verify import random_poset
+from test_morse import permuted_poset
 
 BUILTINS = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
 
@@ -55,6 +58,39 @@ def test_mu0_memo_matches_brute_force():
             assert p0.interval(a, b) == [
                 z for z in p0.elements() if p0.leq(a, z) and p0.leq(z, b)
             ]
+
+
+def test_mu0_matches_brute_force_at_every_pair_of_p0():
+    # every (a, b) of P0, comparable or not, on 7-element posets and on the
+    # same posets with ids that are not a linear extension; mu0 memoizes only
+    # the pair asked, so each read here makes its own pass over [a, b]
+    incomparable = 0
+    for seed in range(100):
+        for poset in (random_poset(seed, 7), permuted_poset(seed)):
+            expect = brute_mu0(poset)
+            elems = [ZERO, *range(poset.n)]
+            for a, b in itertools.product(elems, elems):
+                assert poset.mu0(a, b) == expect.get((a, b), 0), (seed, poset, a, b)
+                incomparable += (a, b) not in expect
+    assert incomparable >= 2000
+
+
+def layered(layers):
+    """Layers of 3 elements, ids layer by layer, each element of a layer
+    covered by every element of the next."""
+    n = 3 * layers
+    covers = [(a, b) for a in range(n - 3) for b in range(3 * (a // 3 + 1), 3 * (a // 3 + 2))]
+    return FinitePoset([str(i + 1) for i in range(n)], covers)
+
+
+def test_mu0_at_the_i64_boundary():
+    # mu0(0, x) = -(-2)^k for x on layer k, so layer 62 reads -2^62 and
+    # layer 63 would read 2^63, one past the signed 64-bit range
+    p = layered(63)
+    assert mobius_main(p, (), (p.n - 3,)).value == -(2**62)
+    p = layered(64)
+    with pytest.raises(IntegerOverflowError, match=r"^mobius0\(-1,189\) overflowed"):
+        mobius_main(p, (), (p.n - 3,))
 
 
 def min_id_linear_extension(poset):
@@ -109,14 +145,18 @@ def test_unknown_element_rejected(lam):
 
 
 def test_cycle_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as info:
         FinitePoset(["a", "b"], [(0, 1), (1, 0)])
+    assert str(info.value) == "cover relation contains a cycle"
 
 
 def test_non_reduced_covers_rejected():
     # 0<1<2 plus the implied pair (0,2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as info:
         FinitePoset(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
+    assert str(info.value) == (
+        "cover (a,c) is implied by a longer path; cover set is not transitively reduced"
+    )
 
 
 def test_duplicate_names_rejected():
