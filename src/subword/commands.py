@@ -59,15 +59,15 @@ def cmd_critical_chains(args: argparse.Namespace) -> int:
     poset, u, w = load_args(args)
     _, max_chains = caps(args)
     check_word_len(w, args.max_word_len)
-    decs = MorseEngine(poset).critical_chains(u, w, max_chains)
-    for dec in decs:
+    lines, total = [], 0  # printed once the walk ends, so a cap error prints nothing
+    for dec in MorseEngine(poset).critical_chains(u, w, max_chains):
         js = " ".join(f"[{a},{b}]" for a, b in dec.j_intervals) or "-"
-        print(
-            f"{dec.chain.describe()}  J: {js}  d={dec.critical_dimension} "
-            f"sign={dec.sign():+d}"
-        )
-    total = 1 if u == w else sum(dec.sign() for dec in decs)
-    print(f"critical chains: {len(decs)}, mobius sum: {total}")
+        lines.append(f"{dec.chain.describe()}  J: {js}  "
+                     f"d={dec.critical_dimension} sign={dec.sign():+d}")
+        total += dec.sign()
+    lines.append(f"critical chains: {len(lines)}, mobius sum: {1 if u == w else total}")
+    for line in lines:
+        print(line)
     return 0
 
 

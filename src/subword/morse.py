@@ -46,7 +46,7 @@ from .words import (
 )
 
 Label = tuple[int, int]  # (1-based position in w, letter id or ZERO)
-Move = tuple[Label, Embedding, Word]  # a cover move: its label, embedding and word
+Move = tuple[tuple[int, int], Label, Word]  # a cover move: its label key, label and word
 IndexInterval = tuple[int, int]  # inclusive indices into a chain's word list
 
 
@@ -129,35 +129,36 @@ class MorseEngine:
 
     def cover_moves(self, eta: Embedding) -> tuple[Move, ...]:
         """All covers of the word carried by eta, as canonically labeled moves
-        (label, embedding, word): the word is the cover :func:`lower_covers`
-        builds, and the embedding is eta with the move's slot set.
+        (label key, label, word): the word is the cover :func:`lower_covers`
+        builds.  The move's embedding, eta with slot p of its label (p, y) set
+        to y, is built only where a walk enters the move.
 
         A deletion zeroes the first position of its run (the rightmost
         embedding of the shorter word).  Moves are sorted by label key, so DFS
-        emits chains in PLO order.
+        emits chains in PLO order; the keys are distinct, as a slot is
+        deleted only when its letter covers nothing.
         """
-        cached = self._move_cache.get(eta)
-        if cached is not None:
-            return cached
-        moves = [((j + 1, y), eta[:j] + (y,) + eta[j + 1 :], word)
-                 for j, y, word in lower_covers(self.poset, eta)]
-        moves.sort(key=lambda m: self.label_key(m[0]))
-        result = self._move_cache[eta] = tuple(moves)
-        return result
+        moves = self._move_cache.get(eta)
+        if moves is None:
+            label = self._label
+            moves = self._move_cache[eta] = tuple(sorted(
+                ((j + 1, label[y]), (j + 1, y), word)
+                for j, y, word in lower_covers(self.poset, eta)
+            ))
+        return moves
 
     # -- the strictly decreasing walk -----------------------------------------
 
     def _moves_below(
         self, eta: Embedding, last: tuple[int, int], reaches: Callable | None
-    ) -> Iterator[tuple[Label, Embedding, Word, tuple[int, int]]]:
-        """The moves from eta whose label key is below last, with that key;
+    ) -> Iterator[Move]:
+        """The cached moves from eta whose stored label key is below last;
         with reaches given (the walk to u), only the moves that pass it."""
-        for label, nxt, word in self.cover_moves(eta):
-            key = self.label_key(label)
-            if key >= last:
+        for move in self.cover_moves(eta):
+            if move[0] >= last:
                 return  # the moves come sorted by label key
-            if reaches is None or reaches(label, word):
-                yield label, nxt, word, key
+            if reaches is None or reaches(move[1], move[2]):
+                yield move
 
     def _reaches(self, w: Word, u: Word) -> Callable[[Label, Word], bool]:
         """The exact test of the walk from w to u: whether a strictly
@@ -230,8 +231,9 @@ class MorseEngine:
                     return
                 del etas[-1], words[-1], labels[-1]
                 del scans[len(words) :]
-            label, eta, word, key = move
-            etas.append(eta)
+            key, label, word = move
+            p, eta = label[0], etas[-1]
+            etas.append(eta[: p - 1] + (label[1],) + eta[p:])
             words.append(word)
             labels.append(label)
 
@@ -253,7 +255,7 @@ class MorseEngine:
         target = chain.words[j + 1]
         for k in range(i - 1, j + 1):
             own = chain.labels[k]
-            for label, _, word in self.cover_moves(chain.embeddings[k]):
+            for _, label, word in self.cover_moves(chain.embeddings[k]):
                 if label == own:
                     break
                 if trusted_leq(self.poset, target, word):
@@ -296,24 +298,22 @@ class MorseEngine:
 
     def critical_chains(
         self, u: Word, w: Word, max_chains: int = DEFAULT_MAX_CHAINS
-    ) -> list[MsiDecomposition]:
-        """All critical chains of [u, w], PLO-sorted; none where u is not <= w,
-        as no chain of the walk reaches u.
+    ) -> Iterator[MsiDecomposition]:
+        """The critical chains of [u, w] in PLO order, generated as the walk
+        finds them; none where u is not <= w, as no chain of the walk reaches u.
 
         Only the chains of the strictly decreasing walk are examined; no
         other chain can be critical, and more than max_chains of them is a
-        :class:`ResourceLimitError`.
+        :class:`ResourceLimitError`, raised when the walk gets that far.
         """
         u, w = check_word(self.poset, u), check_word(self.poset, w)
         if u == w:
-            return []
-        out: list[MsiDecomposition] = []
+            return
         for path, scan in self.walk(w, u, max_chains):
             if _read_scan(tuple(scan))[2]:  # copy the live path only when critical
                 _, words, etas, labels = path
                 chain = LabeledChain(self.poset, tuple(words), tuple(etas), tuple(labels))
-                out.append(self.decomposition_direct(chain, scan))
-        return out
+                yield self.decomposition_direct(chain, scan)
 
     def _signs(self, w: Word, u: Word | None, max_chains: int) -> dict[Embedding, int]:
         """Sum (-1)^d over the critical chains of ``walk(w, u)`` by final

@@ -57,19 +57,19 @@ class FinitePoset:
                 raise InputError(f"cover ({a},{a}) is a self-loop")
             cov.add((int(a), int(b)))
         self.covers = frozenset(cov)
-        self._upper = [set() for _ in range(self.n)]  # a -> elements covering a
-        self._lower = [set() for _ in range(self.n)]  # b -> elements covered by b
-        for a, b in cov:
-            self._upper[a].add(b)
-            self._lower[b].add(a)
-        order = self._topo_order()
-        self.above = self._reachability(order)
-        self.covers_below = tuple(tuple(sorted(s)) for s in self._lower)
+        upper = [[] for _ in range(self.n)]  # a -> elements covering a; construction only
+        lower = [[] for _ in range(self.n)]  # b -> elements covered by b, in id order
+        for a, b in sorted(cov):
+            upper[a].append(b)
+            lower[b].append(a)
+        order = self._topo_order(upper, lower)
+        self.above = self._reachability(order, upper)
+        self.covers_below = tuple(map(tuple, lower))
         labels = [0] * self.n
         ranks = [0] * self.n
         for pos, x in enumerate(order):
             labels[x] = pos + 1
-            ranks[x] = max((ranks[a] + 1 for a in self._lower[x]), default=0)
+            ranks[x] = max((ranks[a] + 1 for a in lower[x]), default=0)
         self.labels = tuple(labels)
         self.ranks = tuple(ranks)
         self._name_to_id = {nm: i for i, nm in enumerate(self.names)}
@@ -77,32 +77,31 @@ class FinitePoset:
 
     # -- construction helpers -------------------------------------------------
 
-    def _reachability(self, order: list[int]) -> tuple[frozenset[int], ...]:
+    def _reachability(self, order: list[int], upper: list[list[int]]) -> tuple[frozenset[int], ...]:
         """up[a] = {b : a <= b}, from a linear extension, in one reverse pass
         that rejects a cover (a, b) whose b another upper cover of a reaches."""
         up: list[frozenset[int]] = [frozenset()] * self.n
         for a in reversed(order):
-            upper = self._upper[a]
-            for b in upper:
-                if any(b in up[c] for c in upper if c != b):
+            for b in upper[a]:
+                if any(b in up[c] for c in upper[a] if c != b):
                     raise InputError(
                         f"cover ({self.names[a]},{self.names[b]}) is implied by a "
                         "longer path; cover set is not transitively reduced"
                     )
-            up[a] = frozenset((a,)).union(*(up[b] for b in upper))
+            up[a] = frozenset((a,)).union(*(up[b] for b in upper[a]))
         return tuple(up)
 
-    def _topo_order(self) -> list[int]:
+    def _topo_order(self, upper: list[list[int]], lower: list[list[int]]) -> list[int]:
         """Linear extension taking the smallest available id first.  The ready
         ids are kept negated in a sorted list, so the least is popped off its
         end; ``bisect`` is loaded at start-up anyway, where ``heapq`` is not."""
-        indeg = [len(self._lower[i]) for i in range(self.n)]
+        indeg = [len(lower[i]) for i in range(self.n)]
         ready = [-i for i in range(self.n - 1, -1, -1) if indeg[i] == 0]
         order: list[int] = []
         while ready:
             a = -ready.pop()
             order.append(a)
-            for b in self._upper[a]:
+            for b in upper[a]:
                 indeg[b] -= 1
                 if indeg[b] == 0:
                     insort(ready, -b)

@@ -601,9 +601,10 @@ def all_chains(
                 raise ResourceLimitError(f"interval has more than {max_chains} maximal chains")
             chains.append(LabeledChain(engine.poset, words, etas, labels))
             return
-        for label, eta, word in engine.cover_moves(etas[-1]):
-            if trusted_leq(engine.poset, u, word):
-                descend(words + (word,), etas + (eta,), labels + (label,))
+        for _, (p, y), word in engine.cover_moves(etas[-1]):
+            if trusted_leq(engine.poset, u, word):  # enter the move: set slot p to y
+                eta = etas[-1][: p - 1] + (y,) + etas[-1][p:]
+                descend(words + (word,), etas + (eta,), labels + ((p, y),))
 
     descend((w,), (w,), ())
     return ChainContext(engine, u, w, chains)

@@ -86,7 +86,7 @@ def test_criterion_3_empty_to_33333():
 def test_criterion_4_fig3_critical_chains():
     u, w = parse_word(FIG3, "2"), parse_word(FIG3, "29")
     engine = MorseEngine(FIG3)
-    decs = engine.critical_chains(u, w)
+    decs = list(engine.critical_chains(u, w))
     assert len(decs) == 4
     assert sorted(d.critical_dimension for d in decs) == [0, 0, 1, 1]
     d0_chains = {

@@ -442,6 +442,27 @@ def test_running_out_of_memory_exits_3():
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
+def test_a_deep_capped_walk_reports_its_cap_under_300_mib():
+    # chain:3 [1, 3^120]: each cached cover move once kept its own copy of
+    # the embedding, and critical-chains kept every chain until it printed;
+    # the child peaked at 399 MiB and ran out of memory under this limit.  It
+    # takes about 3 s, so it has a longer timeout than _cli's
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    cap = 300 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "subword.cli", "critical-chains", "--poset", "chain:3", "--u", "1",
+         "--w", "3" * 120, "--max-word-len", "120", "--max-chains", "10"],
+        env=dict(os.environ, PYTHONPATH=str(Path(subword.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: interval has more than 10 strictly decreasing chains\n"
+    )
+
+
 def test_a_long_chain_answers_under_450000_kib():
     # chain:4000 [1, 4000]: mu0 once recursed through a memo of every pair of
     # [0, 4000], and the up-sets were built as sets, then copied to frozensets;

@@ -29,7 +29,7 @@ from subword.verify import (
     run_oracle_equivalence,
     sweep,
 )
-from subword.words import lower_covers, trusted_leq
+from subword.words import is_embedding, lower_covers, trusted_leq
 
 CHAIN3 = builtin_poset("chain:3")
 BUILTINS = ("lambda", "lambda:3", "fig3", "chain:3", "antichain:3")
@@ -39,12 +39,21 @@ def words(poset, *texts):
     return [parse_word(poset, t) for t in texts]
 
 
+def reference_moves(eng, eta):
+    """The cover moves of eta as (label, embedding, word), sorted by label
+    key: each move of lower_covers, its embedding eta with slot j set to y,
+    enumerated here so that no reference reads the engine's move record."""
+    moves = [((j + 1, y), eta[:j] + (y,) + eta[j + 1 :], word)
+             for j, y, word in lower_covers(eng.poset, eta)]
+    return sorted(moves, key=lambda m: eng.label_key(m[0]))
+
+
 def label_chain(eng, chain_words):
     """The maximal chain through chain_words (top first), labeled by eng's moves."""
     etas = [tuple(chain_words[0])]
     labels = []
     for v in chain_words[1:]:
-        for label, eta, word in eng.cover_moves(etas[-1]):
+        for label, eta, word in reference_moves(eng, etas[-1]):
             if word == v:
                 etas.append(eta)
                 labels.append(label)
@@ -86,7 +95,7 @@ def reference_chains(eng, w, u, decreasing):
             if u is not None:
                 return
         last = eng.label_key(labels[-1]) if decreasing and labels else None
-        for label, eta, v in eng.cover_moves(etas[-1]):
+        for label, eta, v in reference_moves(eng, etas[-1]):
             if last is not None and eng.label_key(label) >= last:
                 break
             if u is not None and not (
@@ -276,7 +285,7 @@ def lexmin_through(eng, w_eta, required):
             continue
         label, eta = next(
             (label, nxt)
-            for label, nxt, word in eng.cover_moves(eta)
+            for label, nxt, word in reference_moves(eng, eta)
             if trusted_leq(eng.poset, target, word)
         )
         labels.append(label)
@@ -446,7 +455,7 @@ def unpruned_decreasing_chains(eng, w, u):
         if words[-1] == u:
             out.append(LabeledChain(eng.poset, tuple(words), tuple(etas), tuple(labels)))
             return
-        for label, eta, v in eng.cover_moves(etas[-1]):
+        for label, eta, v in reference_moves(eng, etas[-1]):
             if labels and eng.label_key(label) >= eng.label_key(labels[-1]):
                 break
             if trusted_leq(eng.poset, u, v):
@@ -476,7 +485,7 @@ def test_pruned_walk_and_carried_scan_match_references():
                 assert walked(eng, w, u) == chains
                 assert list(reference_chains(eng, w, u, decreasing=True)) == chains
                 expected = folded_critical_chains(eng, chains) if u != w else []
-                assert eng.critical_chains(u, w) == expected
+                assert list(eng.critical_chains(u, w)) == expected
                 by_embedding = {w: 1} if u == w else {}
                 for dec in expected:
                     eta = dec.chain.final_embedding
@@ -521,7 +530,7 @@ def test_walk_to_u_expands_no_dead_end(fig3, monkeypatch):
     monkeypatch.setattr(MorseEngine, "cover_moves", counted)
     eng = MorseEngine(fig3)
     u, w = parse_word(fig3, "2"), parse_word(fig3, "15" + "9" * 10)
-    assert eng.critical_chains(u, w, max_chains=1) == []
+    assert list(eng.critical_chains(u, w, max_chains=1)) == []
     assert len(calls) == len(set(calls))
 
 
@@ -569,6 +578,26 @@ def test_walk_to_u_expands_only_embeddings_on_its_chains(monkeypatch):
     assert intervals == 38168
 
 
+def test_each_embedding_the_walk_enters_embeds_its_word_in_w():
+    # the walk builds an entered move's embedding from its parent's by one
+    # slot edit; on seeded words of length 3 to 6, with and without a bottom,
+    # every embedding on every yielded chain must carry its word in w
+    posets = [builtin_poset(n) for n in BUILTINS]
+    posets += [random_poset(seed) for seed in range(20)]
+    posets += [permuted_poset(seed) for seed in range(20)]
+    rng, entered = random.Random(2011), 0
+    for poset in posets:
+        eng = MorseEngine(poset)
+        for _ in range(3):
+            w = tuple(rng.randrange(poset.n) for _ in range(rng.randint(3, 6)))
+            for u in (None, ()):
+                for path, _ in eng.walk(w, u):
+                    for eta, word in zip(path.embeddings, path.words):
+                        assert is_embedding(poset, eta, w) and restrict(eta) == word
+                        entered += 1
+    assert entered > 100_000, entered
+
+
 def test_walk_to_u_expands_only_w_when_no_chain_reaches_u(fig3, monkeypatch):
     # fig3 [2, 15 9^30]: no move from w leads on to 2
     real, calls = MorseEngine.cover_moves, []
@@ -576,7 +605,7 @@ def test_walk_to_u_expands_only_w_when_no_chain_reaches_u(fig3, monkeypatch):
         MorseEngine, "cover_moves", lambda self, eta: calls.append(eta) or real(self, eta)
     )
     u, w = parse_word(fig3, "2"), parse_word(fig3, "15" + "9" * 30)
-    assert MorseEngine(fig3).critical_chains(u, w, max_chains=1) == []
+    assert list(MorseEngine(fig3).critical_chains(u, w, max_chains=1)) == []
     assert calls == [w]
 
 
@@ -621,9 +650,9 @@ def test_critical_chains_of_long_words_sum_to_the_formula(lam, k):
 def test_critical_chains_cap(lam):
     eng = MorseEngine(lam)
     u, w = parse_word(lam, "11"), parse_word(lam, "333")
-    assert len(eng.critical_chains(u, w, max_chains=6)) == len(eng.critical_chains(u, w))
+    assert list(eng.critical_chains(u, w, max_chains=6)) == list(eng.critical_chains(u, w))
     with pytest.raises(ResourceLimitError, match="more than 5 strictly decreasing chains"):
-        eng.critical_chains(u, w, max_chains=5)
+        list(eng.critical_chains(u, w, max_chains=5))
     with pytest.raises(ResourceLimitError):
         eng.mobius_morse(u, w, max_chains=5)
 
@@ -631,7 +660,7 @@ def test_critical_chains_cap(lam):
 def test_critical_chains_fig3(fig3):
     eng = MorseEngine(fig3)
     u, w = parse_word(fig3, "2"), parse_word(fig3, "29")
-    decs = eng.critical_chains(u, w)
+    decs = list(eng.critical_chains(u, w))
     assert len(decs) == 4
     dims = sorted(d.critical_dimension for d in decs)
     assert dims == [0, 0, 1, 1]
@@ -653,7 +682,7 @@ def test_critical_chain_labels_strictly_decrease(lam, fig3):
         eng = MorseEngine(poset)
         for w_txt, u_txt in pairs:
             u, w = parse_word(poset, u_txt), parse_word(poset, w_txt)
-            decs = eng.critical_chains(u, w)
+            decs = list(eng.critical_chains(u, w))
             for dec in decs:
                 keys = [eng.label_key(l) for l in dec.chain.labels]
                 assert keys == sorted(keys, reverse=True)
@@ -746,7 +775,7 @@ def test_critical_chains_decompose_only_critical_chains(lam, monkeypatch):
         lambda self, *args: calls.append(args) or real(self, *args),
     )
     u, w = parse_word(lam, "1"), parse_word(lam, "3" * 10)
-    decs = MorseEngine(lam).critical_chains(u, w)
+    decs = list(MorseEngine(lam).critical_chains(u, w))
     assert len(decs) == len(calls) == 2816
     assert all(dec.is_critical for dec in decs)
     assert sum(1 for _ in MorseEngine(lam).walk(w, u)) == 5120
@@ -931,5 +960,5 @@ def test_labels_that_differ_from_ids():
 
 def test_critical_chains_are_empty_off_intervals(lam):
     eng = MorseEngine(lam)
-    assert eng.critical_chains(parse_word(lam, "2"), parse_word(lam, "11")) == []
-    assert eng.critical_chains(parse_word(lam, "3"), parse_word(lam, "3")) == []
+    assert list(eng.critical_chains(parse_word(lam, "2"), parse_word(lam, "11"))) == []
+    assert list(eng.critical_chains(parse_word(lam, "3"), parse_word(lam, "3"))) == []

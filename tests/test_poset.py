@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -303,9 +304,9 @@ def test_labels_and_ranks_come_from_construction(monkeypatch):
     poset = builtin_poset("fig3")
     real, calls = FinitePoset._topo_order, []
 
-    def counted(self):
+    def counted(self, *args):
         calls.append(self)
-        return real(self)
+        return real(self, *args)
 
     monkeypatch.setattr(FinitePoset, "_topo_order", counted)
     for _ in range(3):
@@ -314,6 +315,21 @@ def test_labels_and_ranks_come_from_construction(monkeypatch):
         MorseEngine(poset)
         assert max(poset.ranks) == 2
     assert calls == []
+
+
+def test_a_wide_antichain_keeps_no_construction_scratch():
+    # the sets of upper and lower covers per element are read only while the
+    # tables are built; kept for the poset's life, they made antichain:20000
+    # retain 15.6 MiB (tracemalloc, CPython 3.11), where its tables take 7.0
+    names = [str(i + 1) for i in range(20000)]
+    tracemalloc.start()
+    try:
+        poset = FinitePoset(names, [])
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert poset.labels == tuple(range(1, 20001)) and poset.ranks == (0,) * 20000
+    assert retained <= 12 * 2**20, retained
 
 
 def test_ranks(lam):
