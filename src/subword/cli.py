@@ -18,17 +18,17 @@ interpreter's exit-time collections skip every object the call made.
 ``main`` never freezes: tests and the benchmark replay call it many times in
 one process.
 
-Caps: the command line alone sets them; the environment is not read.
-``--max-nodes`` bounds the intervals that interval and the oracle route of
-mobius build; homotopy and the formula route build none.  ``--max-chains``
-bounds the strictly decreasing chains that the Morse routes, critical-chains
-and mobius --method morse/all, examine.  ``--max-word-len`` bounds |w| on
-every route that builds or walks (interval, critical-chains, mobius --method
-oracle/morse/all); only those subcommands take it, and no library function
-takes a word-length cap.  verify applies the node cap to each [empty, w] it
-builds, whose nodes its formula and Morse tables read, and the chain cap to
-every Morse walk.  Every subcommand that takes the caps rejects a bad value
-of any of them with exit 2, and an unknown option with its own usage line.
+Caps: the command line alone sets them; the environment is not read.  Each
+subcommand takes only the caps it applies: mobius all three, interval
+``--max-nodes`` and ``--max-word-len``, critical-chains ``--max-chains`` and
+``--max-word-len``, verify ``--max-nodes`` and ``--max-chains``; homotopy and
+chebyshev take none, and reject one as an unknown option with their own usage
+line.  ``--max-nodes`` bounds the intervals that interval, the oracle route of
+mobius and verify build, ``--max-chains`` the strictly decreasing chains that
+the Morse routes examine, and ``--max-word-len`` |w| on every route that
+builds or walks; no library function takes a word-length cap.  :func:`main`
+checks the parsed caps once, before the handler runs: a bad value of any is
+exit 2.
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ from .words import (
 COMMANDS = ("mobius", "interval", "critical-chains", "chebyshev", "homotopy", "verify")
 
 
-def caps(args: argparse.Namespace) -> tuple[int, int]:
-    """The node and chain caps, as parsed; a bad value of any cap is an input error."""
-    if args.max_nodes <= 0 or args.max_chains <= 0:
-        raise InputError("caps must be positive")
-    if getattr(args, "max_word_len", 0) < 0:  # verify and homotopy take none
-        raise InputError("the word-length cap must not be negative")
-    return args.max_nodes, args.max_chains
-
-
 def load_args(args: argparse.Namespace) -> tuple[FinitePoset, Word, Word]:
     """The poset and the words that --poset, --u and --w name."""
     poset = load_poset(args.poset)
@@ -71,8 +62,9 @@ def load_args(args: argparse.Namespace) -> tuple[FinitePoset, Word, Word]:
 def cmd_mobius(args: argparse.Namespace) -> int:
     from .mobius import mobius_main
 
+    if args.verbose and args.format == "json":
+        raise InputError("--verbose prints text terms, so it does not combine with --format json")
     poset, u, w = load_args(args)
-    max_nodes, max_chains = caps(args)
     values: dict[str, int] = {}
     report = None
     if args.method in ("formula", "all"):
@@ -83,11 +75,11 @@ def cmd_mobius(args: argparse.Namespace) -> int:
     if args.method in ("oracle", "all"):
         from .interval import mobius_oracle
 
-        values["oracle"] = mobius_oracle(poset, u, w, max_nodes=max_nodes)
+        values["oracle"] = mobius_oracle(poset, u, w, max_nodes=args.max_nodes)
     if args.method in ("morse", "all"):
         from .morse import MorseEngine
 
-        values["morse"] = MorseEngine(poset).mobius_morse(u, w, max_chains)
+        values["morse"] = MorseEngine(poset).mobius_morse(u, w, args.max_chains)
     pair = f"mu({format_word(poset, u)}, {format_word(poset, w)})"
     if args.format == "json":
         import json
@@ -125,37 +117,34 @@ def cmd_chebyshev(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_poset_args(parser: argparse.ArgumentParser) -> None:
-    """--poset, --u, --w and the node and chain caps."""
+def add_poset_args(parser: argparse.ArgumentParser, *caps: str) -> None:
+    """--poset, --u, --w and the caps named, as :func:`add_caps` adds them."""
     parser.add_argument(
         "--poset", required=True, help="built-in name or poset JSON file path"
     )
     parser.add_argument("--u", required=True, help="bottom word")
     parser.add_argument("--w", required=True, help="top word")
-    add_cap_args(parser)
+    add_caps(parser, *caps)
 
 
-def add_walk_args(parser: argparse.ArgumentParser) -> None:
-    """:func:`add_poset_args` and --max-word-len: the subcommands that build or walk."""
-    add_poset_args(parser)
-    parser.add_argument(
-        "--max-word-len", type=int, default=DEFAULT_MAX_WORD_LEN, help="word length cap"
-    )
+CAPS = {
+    "--max-nodes": (DEFAULT_MAX_NODES, "interval node cap"),
+    "--max-chains": (DEFAULT_MAX_CHAINS, "maximal-chain cap"),
+    "--max-word-len": (DEFAULT_MAX_WORD_LEN, "word length cap"),
+}
 
 
-def add_cap_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-nodes", type=int, default=DEFAULT_MAX_NODES, help="interval node cap"
-    )
-    parser.add_argument(
-        "--max-chains", type=int, default=DEFAULT_MAX_CHAINS, help="maximal-chain cap"
-    )
+def add_caps(parser: argparse.ArgumentParser, *options: str) -> None:
+    """The caps named, of :data:`CAPS`: those the subcommand applies, and no other."""
+    for option in options:
+        default, text = CAPS[option]
+        parser.add_argument(option, type=int, default=default, help=text)
 
 
 def _add_command(sub, name: str) -> None:
     if name == "mobius":
         p = sub.add_parser("mobius", help="compute mu(u, w)")
-        add_walk_args(p)
+        add_poset_args(p, *CAPS)
         p.add_argument(
             "--method", choices=("formula", "oracle", "morse", "all"), default="formula"
         )
@@ -199,7 +188,11 @@ def main(argv: list[str] | None = None) -> int:
     args, extras = parser.parse_known_args(argv)
     if extras:  # as parse_args reports them, but with the subcommand's usage
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    try:
+    try:  # each cap a subcommand takes is checked here, once, before it runs
+        if getattr(args, "max_nodes", 1) <= 0 or getattr(args, "max_chains", 1) <= 0:
+            raise InputError("caps must be positive")
+        if getattr(args, "max_word_len", 0) < 0:
+            raise InputError("the word-length cap must not be negative")
         return args.func(args)
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)

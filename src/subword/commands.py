@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import add_cap_args, add_poset_args, add_walk_args, caps, load_args
+from .cli import add_caps, add_poset_args, load_args
 from .errors import VerificationError
 from .poset import DEFAULT_POSET_SPEC
 from .words import check_word_len
@@ -17,12 +17,12 @@ def add_command(sub, name: str) -> None:
     """Add the subparser of one of this module's subcommands."""
     if name == "interval":
         p = sub.add_parser("interval", help="build and export the interval diagram")
-        add_walk_args(p)
+        add_poset_args(p, "--max-nodes", "--max-word-len")
         p.add_argument("--format", choices=("text", "json", "dot"), default="text")
         p.set_defaults(func=cmd_interval)
     elif name == "critical-chains":
         p = sub.add_parser("critical-chains", help="list the critical chains of [u, w]")
-        add_walk_args(p)
+        add_poset_args(p, "--max-chains", "--max-word-len")
         p.set_defaults(func=cmd_critical_chains)
     elif name == "homotopy":
         p = sub.add_parser("homotopy", help="wedge-of-spheres report for [u, w]")
@@ -35,7 +35,7 @@ def add_command(sub, name: str) -> None:
         p.add_argument("--max-w", type=int, default=3)
         p.add_argument("--lemma-max-w", type=int, default=2)
         p.add_argument("--chebyshev-max-j", type=int, default=5)
-        add_cap_args(p)
+        add_caps(p, "--max-nodes", "--max-chains")
         p.set_defaults(func=cmd_verify)
 
 
@@ -43,9 +43,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
     from .interval import build_interval
 
     poset, u, w = load_args(args)
-    max_nodes, _ = caps(args)
     check_word_len(w, args.max_word_len)
-    diagram = build_interval(poset, u, w, max_nodes=max_nodes)
+    diagram = build_interval(poset, u, w, max_nodes=args.max_nodes)
     if args.format == "text":
         print(f"nodes={diagram.node_count()}, edges={diagram.edge_count()}")
     else:
@@ -57,10 +56,9 @@ def cmd_critical_chains(args: argparse.Namespace) -> int:
     from .morse import MorseEngine
 
     poset, u, w = load_args(args)
-    _, max_chains = caps(args)
     check_word_len(w, args.max_word_len)
     lines, total = [], 0  # printed once the walk ends, so a cap error prints nothing
-    for dec in MorseEngine(poset).critical_chains(u, w, max_chains):
+    for dec in MorseEngine(poset).critical_chains(u, w, args.max_chains):
         js = " ".join(f"[{a},{b}]" for a, b in dec.j_intervals) or "-"
         lines.append(f"{dec.chain.describe()}  J: {js}  "
                      f"d={dec.critical_dimension} sign={dec.sign():+d}")
@@ -75,7 +73,6 @@ def cmd_homotopy(args: argparse.Namespace) -> int:
     from .homotopy import homotopy_type
 
     poset, u, w = load_args(args)
-    caps(args)
     print(homotopy_type(poset, u, w).describe())
     return 0
 
@@ -83,14 +80,13 @@ def cmd_homotopy(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_all
 
-    max_nodes, max_chains = caps(args)
     results = run_all(
         poset_spec=args.posets,
         max_w=args.max_w,
         lemma_max_w=args.lemma_max_w,
         chebyshev_max_j=args.chebyshev_max_j,
-        max_nodes=max_nodes,
-        max_chains=max_chains,
+        max_nodes=args.max_nodes,
+        max_chains=args.max_chains,
     )
     width = max(len(r.name) for r in results)
     failed = False

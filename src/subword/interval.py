@@ -45,7 +45,6 @@ class IntervalDiagram:
         self.bottom = bottom
         self.top = top
         self.nodes = nodes
-        self.index = {v: i for i, v in enumerate(nodes)}
         self._covers_down = covers_down
         self._covers_up: list[list[int]] = [[] for _ in nodes]
         for i, lower in enumerate(covers_down):

@@ -18,15 +18,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError, InputError, check_i64
+from .errors import InputError, check_i64
 from .poset import ZERO, FinitePoset
-from .words import (
-    Embedding,
-    Word,
-    check_word,
-    is_embedding,
-    iter_embeddings,
-)
+from .words import Embedding, Word, check_embedding, check_word, iter_embeddings
 
 
 class MobiusReport(NamedTuple):
@@ -49,11 +43,7 @@ def contribution(p0, eta: Embedding, w: Word) -> int:
     The factor at position j is mu0(eta(j), w(j)), with 1 added exactly when
     eta(j) = 0 and w(j-1) = w(j); at j = 1 that condition is false.
     """
-    poset = p0.base
-    w = check_word(poset, w)
-    if not is_embedding(poset, eta, w):
-        raise DomainError("eta is not an embedding in w")
-    return _contribution(poset, eta, w)
+    return _contribution(p0.base, eta, check_embedding(p0.base, eta, w))
 
 
 def _contribution(poset: FinitePoset, eta: Embedding, w: Word) -> int:

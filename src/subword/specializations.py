@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError, check_i64
 from .poset import ZERO, FinitePoset
-from .words import Embedding, Word, check_word, embeddings, is_embedding, iter_embeddings, runs
+from .words import Embedding, Word, check_embedding, embeddings, iter_embeddings, runs
 
 
 def is_antichain(poset: FinitePoset) -> bool:
@@ -64,10 +64,7 @@ def is_normal_forest(poset: FinitePoset, eta: Embedding, w: Sequence[int]) -> bo
     non-minimal letter the first slot must stay nonzero.
     """
     _require_forest(poset)
-    w = check_word(poset, w)
-    if not is_embedding(poset, eta, w):
-        raise DomainError("eta is not an embedding in w")
-    return _normal_forest(poset, eta, w)
+    return _normal_forest(poset, eta, check_embedding(poset, eta, w))
 
 
 def _normal_forest(poset: FinitePoset, eta: Embedding, w: Word) -> bool:
@@ -92,10 +89,7 @@ def defect(poset: FinitePoset, eta: Embedding, w: Sequence[int]) -> int:
     deletion there counts toward the defect.
     """
     _require_forest(poset)
-    w = check_word(poset, w)
-    if not is_embedding(poset, eta, w):
-        raise DomainError("eta is not an embedding in w")
-    return _defect(poset, eta, w)
+    return _defect(poset, eta, check_embedding(poset, eta, w))
 
 
 def _defect(poset: FinitePoset, eta: Embedding, w: Word) -> int:

@@ -47,10 +47,9 @@ from .words import (
     DEFAULT_MAX_NODES,
     Embedding,
     Word,
+    check_embedding,
     check_interval,
-    check_word,
     format_word,
-    is_embedding,
     restrict,
     trusted_leq,
 )
@@ -339,7 +338,7 @@ def run_inclusion_exclusion(intervals: Iterable[Interval]) -> SuiteResult:
     """
     result = SuiteResult("inclusion-exclusion")
     for name, poset, _, w, diagram, _ in intervals:
-        nodes, top, up = diagram.nodes, diagram.index[w], diagram.up_sets()
+        nodes, top, up = diagram.nodes, len(diagram.nodes) - 1, diagram.up_sets()  # top sorts last
         leq = lambda a, b: b in up[a]
         for iu, u in enumerate(nodes):
             if iu == top:
@@ -517,9 +516,7 @@ def embedding_subposet(
     Distinct from the ambient interval [u, w]; Morse contributions per
     embedding and the Mobius value of this subposet differ in general.
     """
-    w = check_word(poset, w)
-    if not is_embedding(poset, eta, w):
-        raise DomainError("eta is not an embedding in w")
+    w = check_embedding(poset, eta, w)
     slots = [poset.interval0(x, w[j]) for j, x in enumerate(eta)]
     out = {restrict(acc) for acc in itertools.product(*slots)}
     return sorted(out, key=lambda v: (len(v), v))

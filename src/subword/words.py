@@ -72,6 +72,15 @@ def is_embedding(poset: FinitePoset, eta: Embedding, w: Word) -> bool:
     return all(x == ZERO or poset.leq(x, w[j]) for j, x in enumerate(eta))
 
 
+def check_embedding(poset: FinitePoset, eta: Embedding, w: Sequence[int]) -> Word:
+    """w checked, where eta is an embedding in it, else a :class:`DomainError`:
+    the guard of every entry that takes one embedding."""
+    w = check_word(poset, w)
+    if not is_embedding(poset, eta, w):
+        raise DomainError("eta is not an embedding in w")
+    return w
+
+
 def is_leq_words(poset: FinitePoset, u: Sequence[int], w: Sequence[int]) -> bool:
     """u <= w in generalized subword order, for words from outside."""
     return trusted_leq(poset, check_word(poset, u), check_word(poset, w))

@@ -56,6 +56,15 @@ def test_mobius_json(capsys):
     assert data["values"] == {"formula": 5}
 
 
+def test_mobius_verbose_does_not_combine_with_json(capsys):
+    # the per-embedding terms are text lines; JSON output once dropped them silently
+    code, out, err = run(
+        capsys, "mobius", "--poset", "lambda", "--u", "1", "--w", "33",
+        "--verbose", "--format", "json",
+    )
+    assert (code, out) == (2, "") and err.startswith("error: --verbose")
+
+
 def test_mobius_verbose_embeddings(capsys):
     code, out, _ = run(
         capsys, "mobius", "--poset", "lambda", "--u", "11", "--w", "333",
@@ -198,23 +207,41 @@ def test_exit_code_resource_cap(capsys):
     assert code == 3 and "cap" in err
 
 
-def test_homotopy_parses_caps_but_builds_nothing(capsys):
-    # homotopy reads ranks letter by letter, so no interval cap can trip;
-    # a bad cap value is still an input error.
-    argv = ["homotopy", "--poset", "lambda", "--u", "1", "--w", "33333"]
-    for caps in ([], ["--max-nodes", "5"], ["--max-chains", "1"]):
-        assert run(capsys, *argv, *caps) == (0, "wedge of 48 spheres, dim 7\n", "")
-    code, out, err = run(capsys, *argv, "--max-nodes", "-5")
-    assert code == 2 and out == "" and "caps must be positive" in err
+# The caps each subcommand takes: those it applies, and no other.
+TAKES = {
+    "mobius": ("--max-nodes", "--max-chains", "--max-word-len"),
+    "interval": ("--max-nodes", "--max-word-len"),
+    "critical-chains": ("--max-chains", "--max-word-len"),
+    "chebyshev": (),
+    "homotopy": (),
+    "verify": ("--max-nodes", "--max-chains"),
+}
+CAP_OPTIONS = ("--max-nodes", "--max-chains", "--max-word-len")
 
 
-def test_homotopy_takes_no_word_length_cap():
-    # only the subcommands that build or walk [u, w] take --max-word-len
-    code, out, err = _outcome(
-        ["homotopy", "--poset", "lambda", "--u", "1", "--w", "333", "--max-word-len", "0"]
-    )
-    assert code == 2 and out == ""
-    assert "unrecognized arguments: --max-word-len 0" in err
+def _argv(command, *flags):
+    return [command, *(WORDS if command not in ("chebyshev", "verify") else []), *flags]
+
+
+@pytest.mark.parametrize(
+    "command, cap", [(c, cap) for c in COMMANDS for cap in CAP_OPTIONS if cap not in TAKES[c]]
+)
+def test_caps_a_subcommand_does_not_apply_are_unknown_options(command, cap):
+    # homotopy reads ranks letter by letter and chebyshev builds no interval,
+    # so neither takes a cap; the others take only the caps they apply
+    code, out, err = _outcome(_argv(command, cap, "5"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: subword {command} [-h]")
+    assert err.endswith(f"error: unrecognized arguments: {cap} 5\n")
+
+
+@pytest.mark.parametrize(
+    "command, cap", [(c, cap) for c in COMMANDS for cap in TAKES[c]]
+)
+def test_every_cap_taken_rejects_a_bad_value(capsys, command, cap):
+    value, message = ("-1", "the word-length cap must not be negative") \
+        if cap == "--max-word-len" else ("0", "caps must be positive")
+    assert run(capsys, *_argv(command, cap, value)) == (2, "", f"error: {message}\n")
 
 
 def test_homotopy_of_a_word_past_the_interval_caps(capsys):
@@ -281,7 +308,7 @@ def test_readme_poset_json_example(capsys, tmp_path):
     assert code == 0 and out == "mu(a, c) = -1  (formula)\n"
 
 
-@pytest.mark.parametrize("flags", [["--max-nodes", "-5"], ["--max-word-len", "-1"]])
+@pytest.mark.parametrize("flags", [["--max-chains", "0"], ["--max-word-len", "-1"]])
 def test_critical_chains_rejects_bad_caps(capsys, flags):
     code, out, err = run(
         capsys, "critical-chains", "--poset", "lambda", "--u", "1", "--w", "333", *flags

@@ -169,6 +169,25 @@ def test_specialization_entries_reject_bad_input(entry, wrong_kind):
         entry(builtin_poset(wrong_kind), (), (5,))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p, eta, w: contribution(AugmentedPoset(p), eta, w),
+        is_normal_forest,
+        defect,
+        embedding_subposet,
+    ],
+    ids=["contribution", "is_normal_forest", "defect", "embedding_subposet"],
+)
+def test_entries_taking_one_embedding_share_one_guard(entry):
+    chain = builtin_poset("chain:3")
+    for eta, w in (((0, 0), (0,)), ((2,), (0,))):  # wrong length; 3 is not <= 1
+        with pytest.raises(DomainError, match="^eta is not an embedding in w$"):
+            entry(chain, eta, w)
+    with pytest.raises(InputError):  # w's letter 5 is not an element
+        entry(chain, (ZERO,), (5,))
+
+
 def test_is_normal_forest_and_defect():
     chain = builtin_poset("chain:3")
     w22 = parse_word(chain, "22")
@@ -294,7 +313,7 @@ def test_rank_word(lam):
 def rank_by_build(poset, w):
     """Reference rank: the longest chain of the built interval [empty, w]."""
     diagram = build_interval(poset, (), w)
-    return diagram.ranks[diagram.index[tuple(w)]]
+    return diagram.ranks[diagram.nodes.index(tuple(w))]
 
 
 def test_rank_word_matches_interval_build():

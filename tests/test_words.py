@@ -176,7 +176,7 @@ def test_build_interval_nodes_unique_and_closed(lam):
     # closure: anything between two nodes is a node
     for v in d.nodes:
         for z in build_interval(lam, v, d.top).nodes:
-            assert z in d.index
+            assert z in d.nodes
 
 
 def test_build_interval_covers_are_covers(lam):
@@ -233,8 +233,8 @@ def test_export_dot(lam):
     d = build_interval(lam, parse_word(lam, "1"), parse_word(lam, "31"))
     dot = d.export_dot()
     # edges point cover -> covered
-    i31 = d.index[parse_word(lam, "31")]
-    i3 = d.index[parse_word(lam, "3")]
+    i31 = d.nodes.index(parse_word(lam, "31"))
+    i3 = d.nodes.index(parse_word(lam, "3"))
     assert f"n{i31} -> n{i3};" in dot
     with pytest.raises(InputError):
         d.export("svg")
@@ -255,5 +255,5 @@ def test_up_sets_match_subword_order(lam):
 
 def test_ranks_in_diagram(lam):
     d = build_interval(lam, (), parse_word(lam, "33"))
-    assert d.ranks[d.index[()]] == 0
-    assert d.ranks[d.index[parse_word(lam, "33")]] == 4
+    assert d.ranks[d.nodes.index(())] == 0
+    assert d.ranks[d.nodes.index(parse_word(lam, "33"))] == 4
